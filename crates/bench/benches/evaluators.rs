@@ -15,7 +15,7 @@ use clapton_core::{
     CachedEvaluator, EvaluatorKind, ExecutableAnsatz, LossEvaluator, ParallelEvaluator,
     PooledEvaluator, TransformLoss, WorkerPool,
 };
-use clapton_models::{ising, xxz};
+use clapton_models::{ising, molecular, xxz, Molecule};
 use clapton_noise::{ExactEvaluator, FrameSampler, NoiseModel, NoisyCircuit};
 use clapton_pauli::{Pauli, PauliString, PauliSum};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -104,6 +104,64 @@ fn emit_exact_speedup(_c: &mut Criterion) {
         );
         criterion::append_line(&format!(
             "{{\"group\":\"ln_exact_speedup\",\"id\":\"{n}\",\"batched_ns\":{batched},\"scalar_ns\":{scalar},\"speedup_x\":{speedup:.2}}}"
+        ));
+    }
+}
+
+/// The per-genome cost of scoring a transformation, head to head: the
+/// staged path (`transformed_into` builds `Ĥ` through the tableau, then the
+/// prepared `energy` re-packs it for the walk, then `loss_0` rescans it)
+/// against the fused kernel `TransformLoss::evaluate_population` runs
+/// (scored straight from `H`'s packed planes), on ising10, H2O and H6. One
+/// timed sample scores a 32-genome population; the rows are per genome.
+fn emit_transform_ln_fused(_c: &mut Criterion) {
+    let n = 10;
+    let model = NoiseModel::uniform(n, 3e-4, 8e-3, 2e-2);
+    let exec = ExecutableAnsatz::untranspiled(n, &model);
+    let ansatz = TransformationAnsatz::new(n);
+    let mut rng = StdRng::seed_from_u64(17);
+    let population: Vec<Vec<u8>> = (0..32)
+        .map(|_| {
+            (0..ansatz.num_genes())
+                .map(|_| rng.gen_range(0..4u8))
+                .collect()
+        })
+        .collect();
+    let per_genome = |samples: Vec<u128>| median(samples) / population.len() as u128;
+    for (id, h) in [
+        ("ising10", ising(n, 0.25)),
+        (
+            "H2O",
+            molecular(Molecule::H2O, Molecule::H2O.bond_lengths()[0]),
+        ),
+        (
+            "H6",
+            molecular(Molecule::H6, Molecule::H6.bond_lengths()[0]),
+        ),
+    ] {
+        let loss = TransformLoss::new(&h, &exec, &ansatz, EvaluatorKind::Exact);
+        let prepared = loss.loss().prepared_zero().expect("exact backend prepares");
+        let mut transformed = PauliSum::new(n);
+        let mut run_staged = || {
+            for gamma in &population {
+                loss.transformed_into(black_box(gamma), &mut transformed);
+                black_box(prepared.energy(&transformed) + loss.loss().loss_0(&transformed));
+            }
+        };
+        let mut run_fused = || {
+            black_box(loss.evaluate_population(black_box(&population)));
+        };
+        let (staged_samples, fused_samples) =
+            counterbalanced_samples(12, &mut run_staged, &mut run_fused);
+        let (staged, fused) = (per_genome(staged_samples), per_genome(fused_samples));
+        let speedup = staged as f64 / fused.max(1) as f64;
+        println!(
+            "transform_ln_fused/{id}: {speedup:.1}x (staged {staged} ns / fused {fused} ns per genome, {} terms)",
+            h.num_terms()
+        );
+        criterion::append_line(&format!(
+            "{{\"group\":\"transform_ln_fused\",\"id\":\"{id}\",\"terms\":{},\"staged_ns\":{staged},\"fused_ns\":{fused},\"speedup_x\":{speedup:.2}}}",
+            h.num_terms()
         ));
     }
 }
@@ -652,7 +710,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
     targets = bench_exact_energy, bench_exact_batched, emit_exact_speedup,
-        bench_sampled_energy, bench_sampled_energy_scalar,
+        emit_transform_ln_fused, bench_sampled_energy, bench_sampled_energy_scalar,
         emit_sampled_speedup, bench_dense_hamiltonian, bench_population_batch,
         emit_telemetry_overhead, emit_failpoint_overhead, emit_loss_cache
 }

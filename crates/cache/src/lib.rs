@@ -41,7 +41,7 @@
 //! entries dropped, counted in `clapton_cache_evictions_total`.
 
 use clapton_eval::LossStore;
-use clapton_runtime::{open_envelope_record, seal_envelope};
+use clapton_runtime::{hex_decode, hex_encode, open_envelope_record, seal_envelope};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
@@ -205,23 +205,6 @@ fn shard_hash(ns: u64, key: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn hex_decode(text: &str) -> Option<Vec<u8>> {
-    if !text.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..text.len() / 2)
-        .map(|i| u8::from_str_radix(&text[2 * i..2 * i + 2], 16).ok())
-        .collect()
 }
 
 fn unix_millis() -> u128 {

@@ -15,8 +15,10 @@ use crate::{
 };
 use clapton_circuits::TransformationAnsatz;
 use clapton_eval::LossEvaluator;
+use clapton_noise::PackedHamiltonian;
 use clapton_pauli::PauliSum;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// The Clapton search objective over transformation genomes γ.
 ///
@@ -51,6 +53,9 @@ pub struct TransformLoss<'a> {
     loss: LossFunction<'a>,
     /// Genes frozen to identity (the two-qubit-slot ablation of §4).
     frozen: Option<Range<usize>>,
+    /// `h` packed into 64-lane planes for the fused batch kernel, built
+    /// lazily once per loss object (like `LossFunction::prepared_zero`).
+    packed: OnceLock<PackedHamiltonian>,
 }
 
 impl<'a> TransformLoss<'a> {
@@ -81,6 +86,7 @@ impl<'a> TransformLoss<'a> {
             ansatz,
             loss: LossFunction::new(exec, evaluator),
             frozen: None,
+            packed: OnceLock::new(),
         }
     }
 
@@ -131,26 +137,41 @@ impl LossEvaluator for TransformLoss<'_> {
     /// loss object for the fixed `θ = 0` circuit (noise attachment and, for
     /// the sampled backend, the per-term prep cache hoisted out of the
     /// per-genome loop and shared across batches/rounds/pooled chunks),
-    /// then every genome pays only its own transformation and energy — with
-    /// one transformed-Hamiltonian scratch buffer reused across the whole
-    /// batch, so the per-genome transform allocates no term strings.
-    /// Bit-identical to genome-at-a-time [`LossEvaluator::evaluate`] — the
-    /// losses are the same arithmetic, minus the reconstruction overhead.
+    /// then every genome pays only its own transformation and energy.
+    ///
+    /// When the logical → device mapping is the identity and the backend
+    /// fuses (the exact one does), each genome is scored straight from `h`
+    /// packed once into 64-lane planes ([`PreparedEnergy::transformed_loss`]):
+    /// no `Ĥ`, no tableau. Otherwise `Ĥ` is transformed into one scratch
+    /// sum reused across the batch, so the per-genome transform allocates
+    /// no term strings. Either way the losses are bit-identical to
+    /// genome-at-a-time [`LossEvaluator::evaluate`] — the same arithmetic,
+    /// minus the reconstruction overhead.
+    ///
+    /// [`PreparedEnergy::transformed_loss`]: crate::PreparedEnergy::transformed_loss
     fn evaluate_population(&self, genomes: &[Vec<u8>]) -> Vec<f64> {
-        match self.loss.prepared_zero() {
-            Some(prepared) => {
-                let mut transformed = PauliSum::new(self.h.num_qubits());
-                genomes
-                    .iter()
-                    .map(|gamma| {
-                        self.transformed_into(gamma, &mut transformed);
+        let Some(prepared) = self.loss.prepared_zero() else {
+            return genomes.iter().map(|gamma| self.evaluate(gamma)).collect();
+        };
+        let packed = self
+            .loss
+            .exec()
+            .mapping_is_identity()
+            .then(|| self.packed.get_or_init(|| PackedHamiltonian::new(self.h)));
+        let mut transformed = PauliSum::new(self.h.num_qubits());
+        genomes
+            .iter()
+            .map(|gamma| {
+                let gates = self.ansatz.gates(&self.masked(gamma));
+                packed
+                    .and_then(|packed| prepared.transformed_loss(packed, &gates))
+                    .unwrap_or_else(|| {
+                        transform_hamiltonian_into(self.h, &gates, &mut transformed);
                         self.loss.loss_n_prepared(prepared, &transformed)
                             + self.loss.loss_0(&transformed)
                     })
-                    .collect()
-            }
-            None => genomes.iter().map(|gamma| self.evaluate(gamma)).collect(),
-        }
+            })
+            .collect()
     }
 
     /// Frozen slot genes do not affect the loss, so the masked genome is the

@@ -3,9 +3,12 @@
 
 use crate::ExecutableAnsatz;
 use clapton_circuits::Circuit;
-use clapton_noise::{ExactEvaluator, FrameSampler, NoiseModel, NoisyCircuit, TermCache};
+use clapton_noise::{
+    ExactEvaluator, FrameSampler, NoiseModel, NoisyCircuit, PackedHamiltonian, TermCache,
+};
 use clapton_pauli::PauliSum;
 use clapton_sim::DeviceEvaluator;
+use clapton_stabilizer::CliffordGate;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -27,6 +30,19 @@ pub trait PreparedEnergy: fmt::Debug + Send + Sync {
     /// The noisy energy of `h` (already on the circuit's register) for the
     /// prepared circuit.
     fn energy(&self, h: &PauliSum) -> f64;
+
+    /// The loss `LN + L0` of the transformed Hamiltonian `C† H C` in one
+    /// fused pass, if the backend has one: `h` is packed once by
+    /// [`PackedHamiltonian::new`] (already on the circuit's register) and
+    /// `gates` is `C` in application order.
+    ///
+    /// `None` (the default) sends the caller down the staged path —
+    /// `transform_hamiltonian`, then [`PreparedEnergy::energy`] plus
+    /// `expectation_all_zeros` — which a `Some` must match bit for bit.
+    fn transformed_loss(&self, h: &PackedHamiltonian, gates: &[CliffordGate]) -> Option<f64> {
+        let _ = (h, gates);
+        None
+    }
 }
 
 /// A noisy-energy backend: computes `⟨H⟩` of a Clifford circuit under a
@@ -100,6 +116,8 @@ impl EnergyBackend for ExactBackend {
 /// `M ≥ ExactEvaluator::BATCH_MIN_TERMS`, scalar below); the prepared
 /// circuit also memoizes the reversed-and-inverted op list the walks share,
 /// so every genome of every batch reuses one back-propagation program.
+/// Transformed losses take the fused kernel
+/// (`ExactEvaluator::transformed_energies`), which never builds `Ĥ`.
 #[derive(Debug)]
 struct PreparedExact {
     noisy: NoisyCircuit,
@@ -108,6 +126,11 @@ struct PreparedExact {
 impl PreparedEnergy for PreparedExact {
     fn energy(&self, h: &PauliSum) -> f64 {
         ExactEvaluator::new(&self.noisy).energy(h)
+    }
+
+    fn transformed_loss(&self, h: &PackedHamiltonian, gates: &[CliffordGate]) -> Option<f64> {
+        let (ln, l0) = ExactEvaluator::new(&self.noisy).transformed_energies(h, gates);
+        Some(ln + l0)
     }
 }
 

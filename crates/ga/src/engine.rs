@@ -3,7 +3,7 @@
 
 use crate::{GaConfig, GaInstance, Individual};
 use clapton_eval::{CacheStats, CachedEvaluator, LossEvaluator, LossStore, ParallelEvaluator};
-use clapton_runtime::{PooledEvaluator, WorkerPool};
+use clapton_runtime::{hex_decode, hex_encode, PooledEvaluator, WorkerPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -118,7 +118,11 @@ impl MultiGaResult {
 /// state, the per-instance restart seeds, and the full genome → loss memo
 /// (with its statistics) are all part of the snapshot, and per-instance GA
 /// streams are derived deterministically from `(seed, round, instance)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// In JSON each memo genome is one lowercase hex string (two digits per
+/// gene) rather than an array of genes; the reader also accepts the array
+/// form, so checkpoints written before the hex encoding still resume.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineState {
     /// The base seed the run was started with.
     pub seed: u64,
@@ -155,6 +159,92 @@ impl EngineState {
     /// Number of completed rounds.
     pub fn rounds(&self) -> usize {
         self.next_round
+    }
+}
+
+// Hand-written serde (the vendored derive has no field attributes): the
+// same map as a derive would write, except that `cache_entries` holds
+// `[hex genome, loss]` pairs. The memo is most of a checkpoint, and one
+// string per genome instead of one value per gene keeps the serialized
+// tree — and the per-round heap spike of writing it — small.
+impl Serialize for EngineState {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::{to_value, Value};
+        let memo = self
+            .cache_entries
+            .iter()
+            .map(|(genes, loss)| Value::Seq(vec![Value::Str(hex_encode(genes)), to_value(loss)]))
+            .collect();
+        serializer.serialize_value(Value::Map(vec![
+            ("seed".to_string(), to_value(&self.seed)),
+            ("tag".to_string(), to_value(&self.tag)),
+            ("next_round".to_string(), to_value(&self.next_round)),
+            (
+                "seeds_per_instance".to_string(),
+                to_value(&self.seeds_per_instance),
+            ),
+            ("global_best".to_string(), to_value(&self.global_best)),
+            ("round_bests".to_string(), to_value(&self.round_bests)),
+            (
+                "round_eval_stats".to_string(),
+                to_value(&self.round_eval_stats),
+            ),
+            ("retries".to_string(), to_value(&self.retries)),
+            ("mix_rng".to_string(), to_value(&self.mix_rng)),
+            ("cache_entries".to_string(), Value::Seq(memo)),
+            ("cache_stats".to_string(), to_value(&self.cache_stats)),
+            ("finished".to_string(), to_value(&self.finished)),
+        ]))
+    }
+}
+
+impl<'de> Deserialize<'de> for EngineState {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        use serde::de::Error as _;
+        use serde::take_field;
+        let mut map = match deserializer.take_value()? {
+            serde::Value::Map(map) => map,
+            other => {
+                return Err(D::Error::custom(format!(
+                    "expected map for struct EngineState, found {other:?}"
+                )))
+            }
+        };
+        let memo: Vec<(MemoGenome, f64)> =
+            take_field(&mut map, "cache_entries").map_err(D::Error::custom)?;
+        Ok(EngineState {
+            seed: take_field(&mut map, "seed").map_err(D::Error::custom)?,
+            tag: take_field(&mut map, "tag").map_err(D::Error::custom)?,
+            next_round: take_field(&mut map, "next_round").map_err(D::Error::custom)?,
+            seeds_per_instance: take_field(&mut map, "seeds_per_instance")
+                .map_err(D::Error::custom)?,
+            global_best: take_field(&mut map, "global_best").map_err(D::Error::custom)?,
+            round_bests: take_field(&mut map, "round_bests").map_err(D::Error::custom)?,
+            round_eval_stats: take_field(&mut map, "round_eval_stats").map_err(D::Error::custom)?,
+            retries: take_field(&mut map, "retries").map_err(D::Error::custom)?,
+            mix_rng: take_field(&mut map, "mix_rng").map_err(D::Error::custom)?,
+            cache_entries: memo.into_iter().map(|(g, loss)| (g.0, loss)).collect(),
+            cache_stats: take_field(&mut map, "cache_stats").map_err(D::Error::custom)?,
+            finished: take_field(&mut map, "finished").map_err(D::Error::custom)?,
+        })
+    }
+}
+
+/// A memo genome as read from a checkpoint: a hex string, or the legacy
+/// array of genes.
+struct MemoGenome(Vec<u8>);
+
+impl<'de> Deserialize<'de> for MemoGenome {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        use serde::de::Error as _;
+        match deserializer.take_value()? {
+            serde::Value::Str(hex) => hex_decode(&hex)
+                .map(MemoGenome)
+                .ok_or_else(|| D::Error::custom(format!("malformed hex genome {hex:?}"))),
+            legacy => serde::from_value(legacy)
+                .map(MemoGenome)
+                .map_err(D::Error::custom),
+        }
     }
 }
 

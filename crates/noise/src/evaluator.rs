@@ -6,6 +6,7 @@ use clapton_pauli::{
     uniform_pauli_pair_planes, uniform_pauli_planes, BernoulliWords, FrameBatch, Pauli,
     PauliString, PauliSum, TermBatch,
 };
+use clapton_stabilizer::CliffordGate;
 use clapton_telemetry::metrics::{registry, Counter};
 use rand::Rng;
 use std::collections::HashMap;
@@ -40,6 +41,63 @@ fn kernel_metrics() -> &'static KernelMetrics {
             "Hamiltonian terms estimated by the frame sampler",
         ),
     })
+}
+
+/// Counts one bit-parallel evaluation of `terms` Hamiltonian terms: one
+/// reverse walk per 64-term word.
+fn count_walks(terms: usize) {
+    let metrics = kernel_metrics();
+    metrics.exact_terms.add(terms as u64);
+    metrics
+        .exact_walks
+        .add((terms as u64).div_ceil(TermBatch::LANES as u64));
+}
+
+/// A Hamiltonian packed once into signed 64-lane [`TermBatch`] words: lane
+/// `ℓ` of word `w` holds term `64w + ℓ` with a positive sign, and its
+/// coefficient is kept beside the planes.
+///
+/// This is the input of [`ExactEvaluator::transformed_energies`]: a search
+/// that scores many transformations of one Hamiltonian packs it once and
+/// copies the planes per candidate instead of re-packing every transformed
+/// Hamiltonian.
+#[derive(Debug, Clone)]
+pub struct PackedHamiltonian {
+    num_qubits: usize,
+    words: Vec<TermBatch>,
+    coefficients: Vec<f64>,
+}
+
+impl PackedHamiltonian {
+    /// Packs `h` term by term, in order.
+    pub fn new(h: &PauliSum) -> PackedHamiltonian {
+        let words = h
+            .terms()
+            .chunks(TermBatch::LANES)
+            .map(|chunk| {
+                let mut word = TermBatch::new(h.num_qubits());
+                for (lane, term) in chunk.iter().enumerate() {
+                    word.set_lane(lane, &term.pauli, false);
+                }
+                word
+            })
+            .collect();
+        PackedHamiltonian {
+            num_qubits: h.num_qubits(),
+            words,
+            coefficients: h.terms().iter().map(|t| t.coefficient).collect(),
+        }
+    }
+
+    /// The register size.
+    pub fn num_qubits(&self) -> usize {
+        self.num_qubits
+    }
+
+    /// The number of packed terms `M`.
+    pub fn num_terms(&self) -> usize {
+        self.coefficients.len()
+    }
 }
 
 /// Exact noisy expectation values via Heisenberg back-propagation.
@@ -171,8 +229,8 @@ impl<'a> ExactEvaluator<'a> {
     }
 
     /// Bit-parallel noisy energy: back-propagates the Hamiltonian in
-    /// `⌈M/64⌉` reverse circuit walks instead of `M` (see the shared batch
-    /// pass below). Bit-identical to [`ExactEvaluator::energy_scalar`].
+    /// `⌈M/64⌉` reverse circuit walks instead of `M` (see the shared word
+    /// scoring below). Bit-identical to [`ExactEvaluator::energy_scalar`].
     pub fn energy_batched(&self, hamiltonian: &PauliSum) -> f64 {
         self.energy_batch_pass(hamiltonian, true)
     }
@@ -185,21 +243,112 @@ impl<'a> ExactEvaluator<'a> {
 
     /// The shared walk behind the batched energies: packs up to 64 term
     /// observables into a [`TermBatch`] (transposed planes + sign plane)
-    /// and conjugates all lanes through the circuit at once.
+    /// and scores all lanes at once (see [`ExactEvaluator::score_word`]).
+    fn energy_batch_pass(&self, hamiltonian: &PauliSum, with_noise: bool) -> f64 {
+        count_walks(hamiltonian.num_terms());
+        let mut total = 0.0;
+        let mut batch = TermBatch::new(self.circuit.num_qubits());
+        let mut coefficients = [0.0f64; TermBatch::LANES];
+        for chunk in hamiltonian.terms().chunks(TermBatch::LANES) {
+            batch.clear();
+            for (lane, term) in chunk.iter().enumerate() {
+                coefficients[lane] = term.coefficient;
+                batch.set_lane(lane, &term.pauli, false);
+            }
+            self.score_word(
+                &mut batch,
+                &coefficients[..chunk.len()],
+                with_noise,
+                &mut total,
+            );
+        }
+        total
+    }
+
+    /// The noisy energy `LN` and the all-zeros anchor `L0` of the
+    /// transformed Hamiltonian `Ĥ = C† H C`, scored straight from the
+    /// packed planes of `H`: `Ĥ` itself is never built.
     ///
-    /// Per chunk of ≤64 terms:
+    /// `gates` is the transformation circuit `C` in application order (as
+    /// taken by `transform_hamiltonian`). Per 64-term word of `h`:
     ///
-    /// 1. **Per-lane init** — the scalar walk starts each term at the Z
-    ///    string on its support (collecting readout factors `1-2p_k`) and
+    /// 1. copy the packed planes and conjugate every lane by the inverted
+    ///    gates, last gate first — each lane now holds `±P'_i`, the image
+    ///    a tableau transform would produce, and its sign turns into the
+    ///    transformed coefficient `±c_i`;
+    /// 2. read `L0` off the planes: lanes with no x bit contribute their
+    ///    signed coefficient, the rest `0`, in term order;
+    /// 3. clear the sign plane and score the word exactly as
+    ///    [`ExactEvaluator::energy`] scores `Ĥ`: measurement damping, the
+    ///    shared reverse walk, readout.
+    ///
+    /// Both values are bit-identical to `ExactEvaluator::energy(&Ĥ)` and
+    /// `Ĥ.expectation_all_zeros()`, including the sign of an all-zero sum,
+    /// and the kernel counters advance as they do for
+    /// [`ExactEvaluator::energy_batched`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` and the circuit disagree on the register size, or if
+    /// a gate acts outside it.
+    pub fn transformed_energies(
+        &self,
+        h: &PackedHamiltonian,
+        gates: &[CliffordGate],
+    ) -> (f64, f64) {
+        assert_eq!(
+            h.num_qubits(),
+            self.circuit.num_qubits(),
+            "Hamiltonian/circuit register mismatch"
+        );
+        let terms = h.num_terms();
+        count_walks(terms);
+        // `Iterator::sum` (behind `energy_scalar` and `expectation_all_zeros`)
+        // starts from its own zero, the batched pass from +0.0; an all-zero
+        // sum keeps that sign, so each total starts where the staged one does.
+        let sum_zero: f64 = std::iter::empty::<f64>().sum();
+        let mut ln = if terms >= ExactEvaluator::BATCH_MIN_TERMS {
+            0.0
+        } else {
+            sum_zero
+        };
+        let mut l0 = sum_zero;
+        let mut coefficients = [0.0f64; TermBatch::LANES];
+        for (word, chunk) in h.words.iter().zip(h.coefficients.chunks(TermBatch::LANES)) {
+            let mut batch = word.clone();
+            for g in gates.iter().rev() {
+                g.inverse().conjugate_terms(&mut batch);
+            }
+            let negative = batch.sign_mask();
+            let traceless = batch.any_x_mask();
+            for (lane, &c) in chunk.iter().enumerate() {
+                let bit = 1u64 << lane;
+                let sign = if negative & bit != 0 { -1.0 } else { 1.0 };
+                let c = sign * c;
+                coefficients[lane] = c;
+                l0 += c * if traceless & bit != 0 { 0.0 } else { 1.0 };
+            }
+            batch.xor_sign(negative);
+            self.score_word(&mut batch, &coefficients[..chunk.len()], true, &mut ln);
+        }
+        (ln, l0)
+    }
+
+    /// Scores one word of positive observables (lane `ℓ` holds term `ℓ`'s
+    /// Pauli string, weighted by `coefficients[ℓ]`) and adds the lanes'
+    /// contributions to `total` in lane order.
+    ///
+    /// 1. **Measurement damping** — the scalar walk starts each term at the
+    ///    Z string on its support (collecting readout factors `1-2p_k`) and
     ///    then back-propagates the term's private `basis_prep_ops`; by
     ///    construction that prep segment exactly rebuilds the original term
     ///    with sign `+1` (`H` maps `Z → X`, `H·S` maps `Z → Y`, both
     ///    sign-free), while its interleaved depolarizing slots always damp
-    ///    (the observable never leaves the slot's qubit). So the lane loads
-    ///    the term itself, and the prep damping reduces to a closed-form
-    ///    product — applied in the scalar walk's exact multiply order
-    ///    (readout over ascending support, then prep slots over descending
-    ///    support, two per `Y` and one per `X`) so the factor rounds
+    ///    (the observable never leaves the slot's qubit). So the lanes hold
+    ///    the terms themselves, and the damping is applied qubit by qubit
+    ///    over the planes in the scalar walk's multiply order: readout over
+    ///    ascending support, then prep slots over descending support, two
+    ///    per `Y` and one per `X` — so every lane's factor rounds
     ///    bit-identically.
     /// 2. **One shared reverse walk** — the memoized
     ///    [`NoisyCircuit::reversed_inverted_ops`] list is traversed once:
@@ -209,95 +358,72 @@ impl<'a> ExactEvaluator<'a> {
     ///    damp exactly the supported lanes (see [`damp_lanes`]), in op
     ///    order, so each lane's factor multiplies in the same sequence as
     ///    the scalar walk.
-    /// 3. **Readout** — lanes with any surviving x-plane bit are traceless
-    ///    on `|0…0⟩` and contribute `0`; the rest contribute
-    ///    `±factor` by their sign bit. Contributions accumulate in term
-    ///    order, so the total is bit-identical to the scalar sum.
-    fn energy_batch_pass(&self, hamiltonian: &PauliSum, with_noise: bool) -> f64 {
-        let terms = hamiltonian.num_terms() as u64;
-        let metrics = kernel_metrics();
-        metrics.exact_terms.add(terms);
-        metrics
-            .exact_walks
-            .add(terms.div_ceil(TermBatch::LANES as u64));
+    /// 3. **Readout** — identity lanes contribute `1`; lanes with any
+    ///    surviving x-plane bit are traceless on `|0…0⟩` and contribute
+    ///    `0`; the rest contribute `±factor` by their sign bit. Adding in
+    ///    lane order keeps the total bit-identical to the scalar sum.
+    fn score_word(
+        &self,
+        batch: &mut TermBatch,
+        coefficients: &[f64],
+        with_noise: bool,
+        total: &mut f64,
+    ) {
         let n = self.circuit.num_qubits();
-        let mut total = 0.0;
-        let mut batch = TermBatch::new(n);
         let mut factors = [1.0f64; TermBatch::LANES];
-        for chunk in hamiltonian.terms().chunks(TermBatch::LANES) {
-            batch.clear();
-            let mut identity_lanes = 0u64;
-            for (lane, term) in chunk.iter().enumerate() {
-                if term.pauli.is_identity() {
-                    identity_lanes |= 1 << lane;
-                    continue;
-                }
-                let mut factor = 1.0;
-                if with_noise {
-                    for q in term.pauli.support() {
-                        factor *= 1.0 - 2.0 * self.circuit.readout(q);
-                    }
-                    // Prep-slot damping in the scalar walk's order: support
-                    // descending (the prep list is walked reversed), two
-                    // slots per Y (S† and H each carry one), one per X,
-                    // none per Z — and no slot at all when the gate error
-                    // vanishes (basis_prep_ops omits it).
-                    let (xw, zw) = (term.pauli.x_words(), term.pauli.z_words());
-                    for w in (0..xw.len()).rev() {
-                        let mut bits = xw[w];
-                        while bits != 0 {
-                            let b = 63 - bits.leading_zeros();
-                            bits &= !(1u64 << b);
-                            let q = w * 64 + b as usize;
-                            let p = self.circuit.gate_p1(q);
-                            if p > 0.0 {
-                                let damp = 1.0 - 4.0 * p / 3.0;
-                                factor *= damp;
-                                if (zw[w] >> b) & 1 == 1 {
-                                    factor *= damp; // Y: second slot
-                                }
-                            }
-                        }
-                    }
-                }
-                factors[lane] = factor;
-                batch.set_lane(lane, &term.pauli, false);
-            }
-            // The shared circuit walk, once for all lanes of the chunk.
-            for op in self.circuit.reversed_inverted_ops() {
-                match *op {
-                    NoisyOp::Clifford(g) => g.conjugate_terms(&mut batch),
-                    NoisyOp::Depol1(q, p) => {
-                        if with_noise {
-                            let supported = batch.support_mask(q);
-                            damp_lanes(&mut factors, supported, 1.0 - 4.0 * p / 3.0);
-                        }
-                    }
-                    NoisyOp::Depol2(a, b, p) => {
-                        if with_noise {
-                            let supported = batch.support_mask(a) | batch.support_mask(b);
-                            damp_lanes(&mut factors, supported, 1.0 - 16.0 * p / 15.0);
-                        }
-                    }
-                }
-            }
-            let traceless = batch.any_x_mask();
-            let signs = batch.sign_mask();
-            for (lane, term) in chunk.iter().enumerate() {
-                let bit = 1u64 << lane;
-                let value = if identity_lanes & bit != 0 {
-                    1.0
-                } else if traceless & bit != 0 {
-                    0.0
-                } else if signs & bit != 0 {
-                    -factors[lane]
-                } else {
-                    factors[lane]
-                };
-                total += term.coefficient * value;
+        let mut occupied = 0u64;
+        for q in 0..n {
+            let supported = batch.support_mask(q);
+            occupied |= supported;
+            if with_noise {
+                damp_lanes(&mut factors, supported, 1.0 - 2.0 * self.circuit.readout(q));
             }
         }
-        total
+        if with_noise {
+            // Prep slots exist only where the gate error does not vanish
+            // (basis_prep_ops omits them otherwise).
+            for q in (0..n).rev() {
+                let p = self.circuit.gate_p1(q);
+                if p > 0.0 {
+                    let damp = 1.0 - 4.0 * p / 3.0;
+                    let x = batch.x(q);
+                    damp_lanes(&mut factors, x, damp);
+                    damp_lanes(&mut factors, x & batch.z(q), damp); // Y: second slot
+                }
+            }
+        }
+        for op in self.circuit.reversed_inverted_ops() {
+            match *op {
+                NoisyOp::Clifford(g) => g.conjugate_terms(batch),
+                NoisyOp::Depol1(q, p) => {
+                    if with_noise {
+                        let supported = batch.support_mask(q);
+                        damp_lanes(&mut factors, supported, 1.0 - 4.0 * p / 3.0);
+                    }
+                }
+                NoisyOp::Depol2(a, b, p) => {
+                    if with_noise {
+                        let supported = batch.support_mask(a) | batch.support_mask(b);
+                        damp_lanes(&mut factors, supported, 1.0 - 16.0 * p / 15.0);
+                    }
+                }
+            }
+        }
+        let traceless = batch.any_x_mask();
+        let signs = batch.sign_mask();
+        for (lane, &coefficient) in coefficients.iter().enumerate() {
+            let bit = 1u64 << lane;
+            let value = if occupied & bit == 0 {
+                1.0
+            } else if traceless & bit != 0 {
+                0.0
+            } else if signs & bit != 0 {
+                -factors[lane]
+            } else {
+                factors[lane]
+            };
+            *total += coefficient * value;
+        }
     }
 
     fn back_propagate(&self, term: &PauliString, with_noise: bool) -> f64 {

@@ -35,5 +35,5 @@ mod evaluator;
 mod model;
 
 pub use circuit::{NoisyCircuit, NoisyOp, NotCliffordError};
-pub use evaluator::{ExactEvaluator, FrameSampler, TermCache, TermPrep};
+pub use evaluator::{ExactEvaluator, FrameSampler, PackedHamiltonian, TermCache, TermPrep};
 pub use model::{GateDurations, NoiseModel};

@@ -57,6 +57,31 @@ pub struct RunManifest {
 /// ```
 /// assert_eq!(clapton_runtime::artifact_slug("ising(J=0.25)"), "ising-J-0.25");
 /// ```
+/// Lowercase hex of `bytes`, two digits per byte.
+pub fn hex_encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
+    }
+    out
+}
+
+/// The bytes of a hex string written by [`hex_encode`]; `None` unless
+/// `text` is an even number of hex digits.
+pub fn hex_decode(text: &str) -> Option<Vec<u8>> {
+    let digits = text.as_bytes();
+    if !digits.len().is_multiple_of(2) {
+        return None;
+    }
+    let digit = |d: u8| char::from(d).to_digit(16);
+    digits
+        .chunks(2)
+        .map(|pair| Some(((digit(pair[0])? << 4) | digit(pair[1])?) as u8))
+        .collect()
+}
+
 /// A per-writer temporary sibling name for the atomic write of artifact
 /// `name`: `<name>.<pid>-<seq>.tmp`. Unique per (process, call) so racing
 /// writers each rename their own complete file into place.
@@ -281,6 +306,32 @@ impl RunDirectory {
     pub fn write_json<T: Serialize + ?Sized>(&self, name: &str, value: &T) -> io::Result<()> {
         let json = serde_json::to_string_pretty(value)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        self.write_sealed(name, &json)
+    }
+
+    /// Atomically replaces `name` while keeping the outgoing generation as
+    /// `prev_name`: the current file (if any) is renamed to `prev_name`,
+    /// then the new document is written under `name`. A crash between the
+    /// two steps leaves `prev_name` valid — the reader loses at most the
+    /// one round being written, never the run.
+    ///
+    /// Rotating artifacts are per-round checkpoints: machine-read and
+    /// rewritten every round, so they are written as compact JSON.
+    pub fn write_json_rotating<T: Serialize + ?Sized>(
+        &self,
+        name: &str,
+        prev_name: &str,
+        value: &T,
+    ) -> io::Result<()> {
+        self.rotate(name, prev_name)?;
+        let json = serde_json::to_string(value)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        self.write_sealed(name, &json)
+    }
+
+    /// Seals `json` in its integrity envelope and writes it to
+    /// `<root>/<name>` through a temporary sibling and a rename.
+    fn write_sealed(&self, name: &str, json: &str) -> io::Result<()> {
         let mut sealed = seal(json.as_bytes());
         let target = self.root.join(name);
         let tmp = self.root.join(tmp_name(name));
@@ -290,21 +341,6 @@ impl RunDirectory {
         fs::write(&tmp, &sealed)?;
         failpoint::check("registry.write.rename")?;
         fs::rename(&tmp, &target)
-    }
-
-    /// Atomically replaces `name` while keeping the outgoing generation as
-    /// `prev_name`: the current file (if any) is renamed to `prev_name`,
-    /// then the new document is written under `name`. A crash between the
-    /// two steps leaves `prev_name` valid — the reader loses at most the
-    /// one round being written, never the run.
-    pub fn write_json_rotating<T: Serialize + ?Sized>(
-        &self,
-        name: &str,
-        prev_name: &str,
-        value: &T,
-    ) -> io::Result<()> {
-        self.rotate(name, prev_name)?;
-        self.write_json(name, value)
     }
 
     /// Renames artifact `name` to `prev_name` if it exists (replacing any
@@ -548,6 +584,17 @@ mod tests {
             std::env::temp_dir().join(format!("clapton-runtime-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn hex_round_trips_and_rejects_malformed_text() {
+        let bytes = [0u8, 1, 3, 0x7f, 0xa0, 0xff];
+        assert_eq!(hex_encode(&bytes), "0001037fa0ff");
+        assert_eq!(hex_decode("0001037fa0ff"), Some(bytes.to_vec()));
+        assert_eq!(hex_decode(""), Some(Vec::new()));
+        for bad in ["0", "0g", "+1", "é", "0é"] {
+            assert_eq!(hex_decode(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

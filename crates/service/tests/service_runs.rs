@@ -3,7 +3,8 @@
 //! suspension, and bit-identical resume.
 
 use clapton_error::ClaptonError;
-use clapton_runtime::{EventKind, WorkerPool};
+use clapton_ga::{CacheStats, EngineState, Individual};
+use clapton_runtime::{EventKind, RunDirectory, WorkerPool};
 use clapton_service::{
     ClaptonService, EngineSpec, JobSpec, MethodSpec, NoiseSpec, ProblemSpec, Report, SuiteProblem,
     UniformNoise,
@@ -247,6 +248,102 @@ fn budget_suspends_and_resubmission_resumes_bit_identically() {
     assert_eq!(
         resumed, reference,
         "one-round-at-a-time resume must be bit-identical to the uninterrupted run"
+    );
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// `EngineState` as the derive wrote it before memo genomes became hex
+/// strings: the same fields in the same order, each genome an array of
+/// genes.
+#[derive(serde::Serialize)]
+struct LegacyEngineState {
+    seed: u64,
+    tag: u64,
+    next_round: usize,
+    seeds_per_instance: Vec<Option<Vec<Vec<u8>>>>,
+    global_best: Option<Individual>,
+    round_bests: Vec<f64>,
+    round_eval_stats: Vec<CacheStats>,
+    retries: usize,
+    mix_rng: [u64; 4],
+    cache_entries: Vec<(Vec<u8>, f64)>,
+    cache_stats: CacheStats,
+    finished: bool,
+}
+
+impl From<EngineState> for LegacyEngineState {
+    fn from(s: EngineState) -> LegacyEngineState {
+        LegacyEngineState {
+            seed: s.seed,
+            tag: s.tag,
+            next_round: s.next_round,
+            seeds_per_instance: s.seeds_per_instance,
+            global_best: s.global_best,
+            round_bests: s.round_bests,
+            round_eval_stats: s.round_eval_stats,
+            retries: s.retries,
+            mix_rng: s.mix_rng,
+            cache_entries: s.cache_entries,
+            cache_stats: s.cache_stats,
+            finished: s.finished,
+        }
+    }
+}
+
+#[test]
+fn legacy_checkpoint_resumes_bit_identically() {
+    let pool = Arc::new(WorkerPool::with_workers(2));
+    let reference = ClaptonService::with_pool(Arc::clone(&pool))
+        .run(quick_spec(13))
+        .unwrap();
+
+    let root = scratch("legacy-checkpoint");
+    let service = ClaptonService::with_pool(pool)
+        .with_artifacts(&root)
+        .unwrap();
+    let mut spec = quick_spec(13);
+    spec.budget = Some(1);
+    match service.run(spec.clone()) {
+        Err(ClaptonError::Suspended { rounds: 1 }) => {}
+        other => panic!("expected a one-round suspension, got {other:?}"),
+    }
+    let dir = RunDirectory::create(root.join("ising-J-0.50-seed13")).unwrap();
+    let raw = std::fs::read_to_string(dir.path().join("checkpoint.json")).unwrap();
+    assert!(
+        raw.contains(r#""cache_entries":[[""#),
+        "checkpoints are compact with hex genomes"
+    );
+    let state: EngineState = dir.read_json("checkpoint.json").unwrap().unwrap();
+    assert!(!state.cache_entries.is_empty());
+
+    // Rewrite the checkpoint the way older builds wrote it: pretty-printed,
+    // one JSON number per gene, sealed in the same envelope.
+    dir.write_json("checkpoint.json", &LegacyEngineState::from(state.clone()))
+        .unwrap();
+    let raw = std::fs::read_to_string(dir.path().join("checkpoint.json")).unwrap();
+    assert!(raw.contains("\n  \"cache_entries\": [\n    [\n      [\n"));
+    assert!(
+        !dir.exists("checkpoint.prev.json"),
+        "no fallback to resume from"
+    );
+    let legacy: EngineState = dir.read_json("checkpoint.json").unwrap().unwrap();
+    assert_eq!(legacy, state, "the reader accepts the legacy encoding");
+
+    let mut resumed = None;
+    for _ in 0..64 {
+        match service.run(spec.clone()) {
+            Ok(report) => {
+                resumed = Some(report);
+                break;
+            }
+            Err(ClaptonError::Suspended { .. }) => {}
+            Err(other) => panic!("unexpected failure: {other}"),
+        }
+    }
+    assert_eq!(
+        resumed.expect("budgeted run converges within 64 submissions"),
+        reference,
+        "resuming from a legacy checkpoint must be bit-identical"
     );
     std::fs::remove_dir_all(&root).unwrap();
 }

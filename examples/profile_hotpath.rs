@@ -1,4 +1,10 @@
-//! Ad-hoc breakdown of the per-genome loss-evaluation cost (dev aid).
+//! Ad-hoc breakdown of the per-genome loss-evaluation cost (dev aid): the
+//! batch path (the fused kernel, scored straight from `H`'s packed planes)
+//! and the stages of the staged path it replaces.
+//!
+//! ```sh
+//! cargo run --release --example profile_hotpath
+//! ```
 
 use clapton::circuits::TransformationAnsatz;
 use clapton::core::{EvaluatorKind, ExecutableAnsatz, LossEvaluator, TransformLoss};
@@ -41,6 +47,20 @@ fn main() {
     }
     let batch = t.elapsed().as_nanos() / (reps * population.len()) as u128;
 
+    // The fused kernel alone, with each genome's gates built up front.
+    let zero = exec.circuit_at_zero();
+    let noisy = clapton::noise::NoisyCircuit::from_circuit(&zero, exec.noise_model()).unwrap();
+    let eval = clapton::noise::ExactEvaluator::new(&noisy);
+    let packed = clapton::noise::PackedHamiltonian::new(&h);
+    let gate_lists: Vec<_> = population.iter().map(|g| ansatz.gates(g)).collect();
+    let t = Instant::now();
+    for _ in 0..reps {
+        for gates in &gate_lists {
+            black_box(eval.transformed_energies(&packed, black_box(gates)));
+        }
+    }
+    let fused = t.elapsed().as_nanos() / (reps * population.len()) as u128;
+
     let t = Instant::now();
     for _ in 0..reps {
         for g in &population {
@@ -58,7 +78,6 @@ fn main() {
     let gates = t.elapsed().as_nanos() / (reps * population.len()) as u128;
 
     // NoisyCircuit construction for the fixed zero circuit.
-    let zero = exec.circuit_at_zero();
     let t = Instant::now();
     for _ in 0..(reps * population.len()) {
         black_box(
@@ -69,8 +88,6 @@ fn main() {
     let noisy_build = t.elapsed().as_nanos() / (reps * population.len()) as u128;
 
     // Back-prop energy with a prebuilt evaluator.
-    let noisy = clapton::noise::NoisyCircuit::from_circuit(&zero, exec.noise_model()).unwrap();
-    let eval = clapton::noise::ExactEvaluator::new(&noisy);
     let transformed = loss.transformed(&population[0]);
     let mapped = exec.map_hamiltonian(&transformed);
     let t = Instant::now();
@@ -92,8 +109,10 @@ fn main() {
     let loss0 = t.elapsed().as_nanos() / (reps * population.len()) as u128;
 
     println!("full evaluate      : {full:>8} ns/genome");
-    println!("batch evaluate     : {batch:>8} ns/genome");
-    println!("  transformed()    : {transform:>8} ns  (gates: {gates} ns)");
+    println!("batch evaluate     : {batch:>8} ns/genome (fused)");
+    println!("  fused kernel     : {fused:>8} ns  (gates: {gates} ns, not included)");
+    println!("staged path stages:");
+    println!("  transformed()    : {transform:>8} ns");
     println!("  map_hamiltonian  : {map_h:>8} ns");
     println!("  NoisyCircuit     : {noisy_build:>8} ns");
     println!("  back-prop energy : {energy:>8} ns");
