@@ -1,10 +1,11 @@
 //! Microbenchmarks of the dense simulation substrate (the device-evaluation
 //! cost that dominates VQE runs in Figures 5 and 6).
 
+use clapton_bench::timing::{counterbalanced_samples, median};
 use clapton_circuits::HardwareEfficientAnsatz;
 use clapton_models::ising;
 use clapton_noise::NoiseModel;
-use clapton_sim::{ground_energy, DeviceEvaluator, StateVector};
+use clapton_sim::{ground_energy, reference, DeviceEvaluator, StateVector};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -42,6 +43,44 @@ fn bench_device_evaluation(c: &mut Criterion) {
     group.finish();
 }
 
+/// The multi-pass reference kernels against the one-pass fused kernels per
+/// `DeviceEvaluator::run` + `energy` on the HEA at θ = 0 (the suite's
+/// device evaluation), counterbalanced, with and without T1 relaxation.
+/// Appends one speedup row per case.
+fn emit_device_fused(_c: &mut Criterion) {
+    for n in [6usize, 8, 10] {
+        let circuit = HardwareEfficientAnsatz::new(n).circuit_at_zero();
+        let h = ising(n, 0.25);
+        for (noise, t1) in [("suite", f64::INFINITY), ("t1_100us", 100e-6)] {
+            let mut model = NoiseModel::uniform(n, 3e-4, 8e-3, 2e-2);
+            model.set_t1_uniform(t1);
+            let reference_energy = reference::run(&circuit, &model).energy(&h);
+            let fused_energy = DeviceEvaluator::run(&circuit, &model).energy(&h);
+            assert_eq!(reference_energy.to_bits(), fused_energy.to_bits());
+            let mut run_reference = || {
+                black_box(reference::run(black_box(&circuit), &model).energy(&h));
+            };
+            let mut run_fused = || {
+                black_box(DeviceEvaluator::run(black_box(&circuit), &model).energy(&h));
+            };
+            let rounds = if n == 10 { 4 } else { 12 };
+            let (reference_samples, fused_samples) =
+                counterbalanced_samples(rounds, &mut run_reference, &mut run_fused);
+            let (reference_ns, fused_ns) = (median(reference_samples), median(fused_samples));
+            let speedup = reference_ns as f64 / fused_ns.max(1) as f64;
+            let id = format!("n{n}/{noise}");
+            println!(
+                "device_fused/{id}: {speedup:.2}x (reference {:.2} ms / fused {:.2} ms per run)",
+                reference_ns as f64 / 1e6,
+                fused_ns as f64 / 1e6
+            );
+            criterion::append_line(&format!(
+                "{{\"group\":\"device_fused\",\"id\":\"{id}\",\"reference_ns\":{reference_ns},\"fused_ns\":{fused_ns},\"speedup_x\":{speedup:.2}}}"
+            ));
+        }
+    }
+}
+
 fn bench_ground_energy(c: &mut Criterion) {
     let mut group = c.benchmark_group("lanczos_ground_energy");
     group.sample_size(10);
@@ -57,6 +96,6 @@ fn bench_ground_energy(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_statevector, bench_device_evaluation, bench_ground_energy
+    targets = bench_statevector, bench_device_evaluation, emit_device_fused, bench_ground_energy
 }
 criterion_main!(benches);

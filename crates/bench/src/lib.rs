@@ -17,6 +17,7 @@
 pub mod chaos;
 pub mod shard;
 pub mod suite_run;
+pub mod timing;
 
 pub use chaos::{chaos_schedule, run_chaos_suite, schedule_spec, ChaosOutcome};
 pub use shard::{

@@ -186,14 +186,19 @@ impl Circuit {
     ///
     /// # Panics
     ///
-    /// Panics if the gate touches a qubit outside the register.
+    /// Panics if the gate touches a qubit outside the register, or is a
+    /// CX/SWAP whose two qubits coincide.
     pub fn push(&mut self, gate: Gate) {
-        for q in gate.qubits() {
+        let qubits = gate.qubits();
+        for &q in &qubits {
             assert!(
                 q < self.num_qubits,
                 "gate {gate} touches qubit {q}, register has {}",
                 self.num_qubits
             );
+        }
+        if let [a, b] = qubits[..] {
+            assert!(a != b, "gate {gate} needs two distinct qubits");
         }
         self.gates.push(gate);
     }
@@ -371,6 +376,20 @@ mod tests {
     fn push_rejects_out_of_range() {
         let mut c = Circuit::new(2);
         c.push(Gate::H(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs two distinct qubits")]
+    fn push_rejects_coinciding_cx_qubits() {
+        let mut c = Circuit::new(2);
+        c.push(Gate::Cx(1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs two distinct qubits")]
+    fn push_rejects_coinciding_swap_qubits() {
+        let mut c = Circuit::new(2);
+        c.push(Gate::Swap(0, 0));
     }
 
     #[test]

@@ -12,6 +12,16 @@ use clapton_pauli::{PauliString, PauliSum};
 /// of the paper's device evaluations (§5.2.2), which is deliberately *not*
 /// Clifford-simulable.
 ///
+/// Every operation is one row-major sweep over `ρ`. A one-qubit gate and its
+/// depolarizing channel (fused in [`DeviceEvaluator`](crate::DeviceEvaluator))
+/// update each 2×2 block `{r, r|b}×{c, c|b}` in place; a CX/SWAP and its
+/// channel each 4×4 block of the pair. Each output entry depends only on its
+/// own block,
+/// so fusing the steps changes memory traffic but no floating-point
+/// operation: results are bit-identical to the earlier multi-pass kernels
+/// (a row pass and a column pass per gate, a third pass per channel), which
+/// the differential tests keep as their oracle.
+///
 /// # Example
 ///
 /// ```
@@ -66,12 +76,17 @@ impl DensityMatrix {
     }
 
     #[inline]
-    fn at(&self, r: usize, c: usize) -> Complex64 {
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
+    }
+
+    #[inline]
+    pub(crate) fn at(&self, r: usize, c: usize) -> Complex64 {
         self.data[r * self.dim + c]
     }
 
     #[inline]
-    fn set(&mut self, r: usize, c: usize, v: Complex64) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, v: Complex64) {
         self.data[r * self.dim + c] = v;
     }
 
@@ -87,105 +102,139 @@ impl DensityMatrix {
     }
 
     /// Applies a unitary gate: `ρ ← U ρ U†`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a CX/SWAP whose two qubits coincide.
     pub fn apply_gate(&mut self, gate: Gate) {
+        self.apply_noisy_gate(gate, 0.0);
+    }
+
+    /// Applies a gate and then its depolarizing channel of strength `p`
+    /// ([`DensityMatrix::depolarize_1q`] on a one-qubit gate's qubit,
+    /// [`DensityMatrix::depolarize_2q`] on a CX/SWAP pair) in one sweep
+    /// over `ρ`; `p = 0` applies the bare gate.
+    ///
+    /// The result is bit-identical to the gate followed by the channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a CX/SWAP whose two qubits coincide.
+    pub(crate) fn apply_noisy_gate(&mut self, gate: Gate, p: f64) {
         match gate {
-            Gate::Ry(q, a) => {
-                let (c, s) = ((a / 2.0).cos(), (a / 2.0).sin());
-                self.apply_1q(
-                    q,
-                    [
-                        [Complex64::real(c), Complex64::real(-s)],
-                        [Complex64::real(s), Complex64::real(c)],
-                    ],
-                );
-            }
-            Gate::Rz(q, a) => self.apply_1q(
-                q,
-                [
-                    [Complex64::cis(-a / 2.0), Complex64::ZERO],
-                    [Complex64::ZERO, Complex64::cis(a / 2.0)],
-                ],
-            ),
-            Gate::H(q) => {
-                let h = Complex64::real(std::f64::consts::FRAC_1_SQRT_2);
-                self.apply_1q(q, [[h, h], [h, -h]]);
-            }
-            Gate::S(q) => self.apply_1q(
-                q,
-                [
-                    [Complex64::ONE, Complex64::ZERO],
-                    [Complex64::ZERO, Complex64::I],
-                ],
-            ),
-            Gate::Sdg(q) => self.apply_1q(
-                q,
-                [
-                    [Complex64::ONE, Complex64::ZERO],
-                    [Complex64::ZERO, -Complex64::I],
-                ],
-            ),
-            Gate::X(q) => self.apply_1q(
-                q,
-                [
-                    [Complex64::ZERO, Complex64::ONE],
-                    [Complex64::ONE, Complex64::ZERO],
-                ],
-            ),
-            Gate::Cx(c, t) => {
-                let (bc, bt) = (1usize << c, 1usize << t);
-                self.sandwich_permutation(|i| if i & bc != 0 { i ^ bt } else { i });
-            }
-            Gate::Swap(a, b) => {
-                let (ba, bb) = (1usize << a, 1usize << b);
-                self.sandwich_permutation(|i| {
-                    let (ia, ib) = ((i & ba != 0) as usize, (i & bb != 0) as usize);
-                    if ia != ib {
-                        i ^ ba ^ bb
-                    } else {
-                        i
+            Gate::Cx(c, t) => self.noisy_permutation(c, t, CX_PERM, p),
+            Gate::Swap(a, b) => self.noisy_permutation(a, b, SWAP_PERM, p),
+            g1 => {
+                let (q, u) = unitary_1q(g1);
+                let u_dag = [
+                    [u[0][0].conj(), u[0][1].conj()],
+                    [u[1][0].conj(), u[1][1].conj()],
+                ];
+                // `ρ ← U ρ U†` on one block: left multiplication by U one
+                // column at a time, then right multiplication by U† one row
+                // at a time, as the row pass and column pass did.
+                let conjugate = move |b: &mut Block1| {
+                    for col in 0..2 {
+                        let (a0, a1) = (b[col], b[2 + col]);
+                        b[col] = u[0][0] * a0 + u[0][1] * a1;
+                        b[2 + col] = u[1][0] * a0 + u[1][1] * a1;
                     }
-                });
-            }
-        }
-    }
-
-    /// `ρ ← P ρ P†` for a permutation `P` that is an involution
-    /// (`f(f(i)) = i`), e.g. CX or SWAP.
-    fn sandwich_permutation<F: Fn(usize) -> usize>(&mut self, f: F) {
-        for r in 0..self.dim {
-            for c in 0..self.dim {
-                let (fr, fc) = (f(r), f(c));
-                // Visit each 2-element orbit once.
-                if (fr, fc) > (r, c) {
-                    let tmp = self.at(r, c);
-                    let other = self.at(fr, fc);
-                    self.set(r, c, other);
-                    self.set(fr, fc, tmp);
+                    for row in [0, 2] {
+                        let (a0, a1) = (b[row], b[row + 1]);
+                        b[row] = a0 * u_dag[0][0] + a1 * u_dag[0][1];
+                        b[row + 1] = a0 * u_dag[1][0] + a1 * u_dag[1][1];
+                    }
+                };
+                // One sweep per case rather than a branch per block: the
+                // branch-free body runs about a third faster.
+                match Depolarize1::new(p) {
+                    Some(channel) => self.sweep_1q(q, |b| {
+                        conjugate(b);
+                        channel.apply(b);
+                    }),
+                    None => self.sweep_1q(q, conjugate),
                 }
             }
         }
     }
 
-    /// `ρ ← (U⊗I) ρ (U†⊗I)` for a single-qubit unitary on `q`.
-    fn apply_1q(&mut self, q: usize, u: [[Complex64; 2]; 2]) {
-        let bit = 1usize << q;
-        // Left multiplication: rows.
-        for r in 0..self.dim {
-            if r & bit == 0 {
-                for c in 0..self.dim {
-                    let (a0, a1) = (self.at(r, c), self.at(r | bit, c));
-                    self.set(r, c, u[0][0] * a0 + u[0][1] * a1);
-                    self.set(r | bit, c, u[1][0] * a0 + u[1][1] * a1);
+    /// `ρ ← P ρ P†` for the two-qubit permutation `perm` (local index
+    /// `bit_a + 2·bit_b`), then the two-qubit depolarizing channel.
+    fn noisy_permutation(&mut self, a: usize, b: usize, perm: [usize; 4], p: f64) {
+        let permute = move |blk: &mut Block2| {
+            let old = *blk;
+            for (row, &pr) in blk.iter_mut().zip(&perm) {
+                for (x, &pc) in row.iter_mut().zip(&perm) {
+                    *x = old[pr][pc];
+                }
+            }
+        };
+        match Depolarize2::new(p) {
+            Some(channel) => self.sweep_2q(a, b, |blk| {
+                permute(blk);
+                channel.apply(blk);
+            }),
+            None => self.sweep_2q(a, b, permute),
+        }
+    }
+
+    /// Runs `kernel` on every 2×2 block `{r, r|b}×{c, c|b}` of qubit `q`
+    /// (`b = 1 << q`), in row-major order. The block is passed as
+    /// `[ρ(r,c), ρ(r,c|b), ρ(r|b,c), ρ(r|b,c|b)]`.
+    fn sweep_1q(&mut self, q: usize, kernel: impl Fn(&mut Block1)) {
+        let (dim, bit) = (self.dim, 1usize << q);
+        for pair in self.data.chunks_exact_mut(2 * bit * dim) {
+            let (rows0, rows1) = pair.split_at_mut(bit * dim);
+            for (row0, row1) in rows0.chunks_exact_mut(dim).zip(rows1.chunks_exact_mut(dim)) {
+                for (seg0, seg1) in row0
+                    .chunks_exact_mut(2 * bit)
+                    .zip(row1.chunks_exact_mut(2 * bit))
+                {
+                    let (x00, x01) = seg0.split_at_mut(bit);
+                    let (x10, x11) = seg1.split_at_mut(bit);
+                    for (((e00, e01), e10), e11) in x00.iter_mut().zip(x01).zip(x10).zip(x11) {
+                        let mut block = [*e00, *e01, *e10, *e11];
+                        kernel(&mut block);
+                        [*e00, *e01, *e10, *e11] = block;
+                    }
                 }
             }
         }
-        // Right multiplication by U†: columns.
-        for c in 0..self.dim {
-            if c & bit == 0 {
-                for r in 0..self.dim {
-                    let (a0, a1) = (self.at(r, c), self.at(r, c | bit));
-                    self.set(r, c, a0 * u[0][0].conj() + a1 * u[0][1].conj());
-                    self.set(r, c | bit, a0 * u[1][0].conj() + a1 * u[1][1].conj());
+    }
+
+    /// Runs `kernel` on every 4×4 block of qubits `a` and `b`, in row-major
+    /// order. Block entry `[i][j]` is `ρ(r|s_i, c|s_j)` with
+    /// `s = [0, 1<<a, 1<<b, 1<<a | 1<<b]`.
+    fn sweep_2q(&mut self, a: usize, b: usize, kernel: impl Fn(&mut Block2)) {
+        assert!(a != b, "two-qubit operation needs distinct qubits");
+        let dim = self.dim;
+        let (ba, bb) = (1usize << a, 1usize << b);
+        let sub = [0, ba, bb, ba | bb];
+        let (lo, hi) = (ba.min(bb), ba.max(bb));
+        // The indices with both bits clear, in increasing order.
+        let base = move |k: usize| {
+            let k = (k & !(lo - 1)) << 1 | (k & (lo - 1));
+            (k & !(hi - 1)) << 1 | (k & (hi - 1))
+        };
+        for kr in 0..dim / 4 {
+            let r = base(kr);
+            let mut rows = self
+                .data
+                .get_disjoint_mut(sub.map(|s| (r | s) * dim..((r | s) + 1) * dim))
+                .expect("distinct rows");
+            for kc in 0..dim / 4 {
+                let c = base(kc);
+                let mut block = [[Complex64::ZERO; 4]; 4];
+                for (block_row, row) in block.iter_mut().zip(&rows) {
+                    for (x, &s) in block_row.iter_mut().zip(&sub) {
+                        *x = row[c | s];
+                    }
+                }
+                kernel(&mut block);
+                for (block_row, row) in block.iter().zip(rows.iter_mut()) {
+                    for (&x, &s) in block_row.iter().zip(&sub) {
+                        row[c | s] = x;
+                    }
                 }
             }
         }
@@ -194,29 +243,8 @@ impl DensityMatrix {
     /// Single-qubit depolarizing channel of strength `p`
     /// (`X/Y/Z` each with probability `p/3` — the stim convention, §4.2.2).
     pub fn depolarize_1q(&mut self, q: usize, p: f64) {
-        if p == 0.0 {
-            return;
-        }
-        let bit = 1usize << q;
-        let pop_keep = 1.0 - 2.0 * p / 3.0;
-        let pop_mix = 2.0 * p / 3.0;
-        let coh = 1.0 - 4.0 * p / 3.0;
-        for r in 0..self.dim {
-            if r & bit != 0 {
-                continue;
-            }
-            for c in 0..self.dim {
-                if c & bit != 0 {
-                    continue;
-                }
-                let (r1, c1) = (r | bit, c | bit);
-                let d00 = self.at(r, c);
-                let d11 = self.at(r1, c1);
-                self.set(r, c, d00.scale(pop_keep) + d11.scale(pop_mix));
-                self.set(r1, c1, d11.scale(pop_keep) + d00.scale(pop_mix));
-                self.set(r, c1, self.at(r, c1).scale(coh));
-                self.set(r1, c, self.at(r1, c).scale(coh));
-            }
+        if let Some(channel) = Depolarize1::new(p) {
+            self.sweep_1q(q, |b| channel.apply(b));
         }
     }
 
@@ -226,42 +254,8 @@ impl DensityMatrix {
     /// Implemented via the identity
     /// `D(ρ) = λρ + (1-λ)·(tr_ab(ρ) ⊗ I/4)` with `λ = 1 - 16p/15`.
     pub fn depolarize_2q(&mut self, a: usize, b: usize, p: f64) {
-        if p == 0.0 {
-            return;
-        }
-        assert!(a != b, "two-qubit channel needs distinct qubits");
-        let (ba, bb) = (1usize << a, 1usize << b);
-        let mask = !(ba | bb);
-        let lambda = 1.0 - 16.0 * p / 15.0;
-        let sub = [0, ba, bb, ba | bb];
-        for r in 0..self.dim {
-            if r & (ba | bb) != 0 {
-                continue;
-            }
-            for c in 0..self.dim {
-                if c & (ba | bb) != 0 {
-                    continue;
-                }
-                debug_assert_eq!(r & mask, r);
-                debug_assert_eq!(c & mask, c);
-                // Partial trace over the (a, b) subsystem for this block.
-                let mut tr_sub = Complex64::ZERO;
-                for &k in &sub {
-                    tr_sub += self.at(r | k, c | k);
-                }
-                let mix = tr_sub.scale((1.0 - lambda) / 4.0);
-                for &kr in &sub {
-                    for &kc in &sub {
-                        let old = self.at(r | kr, c | kc);
-                        let new = if kr == kc {
-                            old.scale(lambda) + mix
-                        } else {
-                            old.scale(lambda)
-                        };
-                        self.set(r | kr, c | kc, new);
-                    }
-                }
-            }
+        if let Some(channel) = Depolarize2::new(p) {
+            self.sweep_2q(a, b, |blk| channel.apply(blk));
         }
     }
 
@@ -275,25 +269,16 @@ impl DensityMatrix {
             (0.0..=1.0).contains(&gamma),
             "γ = {gamma} not a probability"
         );
-        let bit = 1usize << q;
-        let s = (1.0 - gamma).sqrt();
-        for r in 0..self.dim {
-            if r & bit != 0 {
-                continue;
-            }
-            for c in 0..self.dim {
-                if c & bit != 0 {
-                    continue;
-                }
-                let (r1, c1) = (r | bit, c | bit);
-                let d11 = self.at(r1, c1);
-                // K0 ρ K0† + K1 ρ K1†.
-                self.set(r, c, self.at(r, c) + d11.scale(gamma));
-                self.set(r1, c1, d11.scale(1.0 - gamma));
-                self.set(r, c1, self.at(r, c1).scale(s));
-                self.set(r1, c, self.at(r1, c).scale(s));
-            }
-        }
+        let keep = 1.0 - gamma;
+        let s = keep.sqrt();
+        self.sweep_1q(q, |b| {
+            let d11 = b[3];
+            // K0 ρ K0† + K1 ρ K1†.
+            b[0] += d11.scale(gamma);
+            b[3] = d11.scale(keep);
+            b[1] = b[1].scale(s);
+            b[2] = b[2].scale(s);
+        });
     }
 
     /// The computational-basis outcome distribution (the diagonal of `ρ`).
@@ -330,6 +315,133 @@ impl DensityMatrix {
     /// The energy `tr(ρH)`.
     pub fn energy(&self, h: &PauliSum) -> f64 {
         h.iter().map(|(c, p)| c * self.expectation(p)).sum()
+    }
+}
+
+/// A one-qubit block `[ρ(r,c), ρ(r,c|b), ρ(r|b,c), ρ(r|b,c|b)]`.
+type Block1 = [Complex64; 4];
+
+/// A two-qubit block, rows and columns in local order `bit_a + 2·bit_b`.
+type Block2 = [[Complex64; 4]; 4];
+
+/// CX with control `a`, target `b` on the local index `bit_a + 2·bit_b`.
+const CX_PERM: [usize; 4] = [0, 3, 2, 1];
+
+/// SWAP on the local index `bit_a + 2·bit_b`.
+const SWAP_PERM: [usize; 4] = [0, 2, 1, 3];
+
+/// The qubit and 2×2 matrix of a one-qubit gate.
+pub(crate) fn unitary_1q(gate: Gate) -> (usize, [[Complex64; 2]; 2]) {
+    match gate {
+        Gate::Ry(q, a) => {
+            let (c, s) = ((a / 2.0).cos(), (a / 2.0).sin());
+            (
+                q,
+                [
+                    [Complex64::real(c), Complex64::real(-s)],
+                    [Complex64::real(s), Complex64::real(c)],
+                ],
+            )
+        }
+        Gate::Rz(q, a) => (
+            q,
+            [
+                [Complex64::cis(-a / 2.0), Complex64::ZERO],
+                [Complex64::ZERO, Complex64::cis(a / 2.0)],
+            ],
+        ),
+        Gate::H(q) => {
+            let h = Complex64::real(std::f64::consts::FRAC_1_SQRT_2);
+            (q, [[h, h], [h, -h]])
+        }
+        Gate::S(q) => (
+            q,
+            [
+                [Complex64::ONE, Complex64::ZERO],
+                [Complex64::ZERO, Complex64::I],
+            ],
+        ),
+        Gate::Sdg(q) => (
+            q,
+            [
+                [Complex64::ONE, Complex64::ZERO],
+                [Complex64::ZERO, -Complex64::I],
+            ],
+        ),
+        Gate::X(q) => (
+            q,
+            [
+                [Complex64::ZERO, Complex64::ONE],
+                [Complex64::ONE, Complex64::ZERO],
+            ],
+        ),
+        Gate::Cx(..) | Gate::Swap(..) => unreachable!("{gate} is a two-qubit gate"),
+    }
+}
+
+/// The one-qubit depolarizing channel on a 2×2 block.
+struct Depolarize1 {
+    pop_keep: f64,
+    pop_mix: f64,
+    coh: f64,
+}
+
+impl Depolarize1 {
+    /// `None` for `p = 0`: the channel is skipped, not applied with unit
+    /// factors (which would turn `-0.0` entries into `+0.0`).
+    fn new(p: f64) -> Option<Depolarize1> {
+        (p != 0.0).then(|| Depolarize1 {
+            pop_keep: 1.0 - 2.0 * p / 3.0,
+            pop_mix: 2.0 * p / 3.0,
+            coh: 1.0 - 4.0 * p / 3.0,
+        })
+    }
+
+    #[inline]
+    fn apply(&self, b: &mut Block1) {
+        let (d00, d11) = (b[0], b[3]);
+        b[0] = d00.scale(self.pop_keep) + d11.scale(self.pop_mix);
+        b[3] = d11.scale(self.pop_keep) + d00.scale(self.pop_mix);
+        b[1] = b[1].scale(self.coh);
+        b[2] = b[2].scale(self.coh);
+    }
+}
+
+/// The two-qubit depolarizing channel on a 4×4 block.
+struct Depolarize2 {
+    lambda: f64,
+    mix: f64,
+}
+
+impl Depolarize2 {
+    /// `None` for `p = 0` (see [`Depolarize1::new`]).
+    fn new(p: f64) -> Option<Depolarize2> {
+        (p != 0.0).then(|| {
+            let lambda = 1.0 - 16.0 * p / 15.0;
+            Depolarize2 {
+                lambda,
+                mix: (1.0 - lambda) / 4.0,
+            }
+        })
+    }
+
+    #[inline]
+    fn apply(&self, blk: &mut Block2) {
+        // Partial trace over the pair, summed in local index order.
+        let mut tr_sub = Complex64::ZERO;
+        for (k, row) in blk.iter().enumerate() {
+            tr_sub += row[k];
+        }
+        let mix = tr_sub.scale(self.mix);
+        for (i, row) in blk.iter_mut().enumerate() {
+            for (j, x) in row.iter_mut().enumerate() {
+                *x = if i == j {
+                    x.scale(self.lambda) + mix
+                } else {
+                    x.scale(self.lambda)
+                };
+            }
+        }
     }
 }
 
@@ -371,6 +483,111 @@ mod tests {
             }
         }
         c
+    }
+
+    fn bits(rho: &DensityMatrix) -> Vec<(u64, u64)> {
+        rho.data
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    /// A rate that is zero a third of the time (the skipped-channel path).
+    fn rate(rng: &mut StdRng, max: f64) -> f64 {
+        if rng.gen_range(0..3) == 0 {
+            0.0
+        } else {
+            rng.gen_range(0.0..max)
+        }
+    }
+
+    #[test]
+    fn fused_kernels_are_bit_identical_to_reference() {
+        use crate::reference;
+        let mut rng = StdRng::seed_from_u64(1313);
+        let angles = [0.0, -0.0, std::f64::consts::FRAC_PI_2];
+        for case in 0..60 {
+            let n = rng.gen_range(1..=7);
+            let mut fused = if case % 2 == 0 {
+                DensityMatrix::new(n)
+            } else {
+                let prep = random_circuit(n, 6, &mut rng);
+                DensityMatrix::from_statevector(&StateVector::from_circuit(&prep))
+            };
+            let mut oracle = fused.clone();
+            for step in 0..24 {
+                let q = rng.gen_range(0..n);
+                let angle = if rng.gen_bool(0.5) {
+                    angles[rng.gen_range(0..angles.len())]
+                } else {
+                    rng.gen_range(-7.0..7.0)
+                };
+                let pair = (n >= 2).then(|| {
+                    let mut b = rng.gen_range(0..n);
+                    while b == q {
+                        b = rng.gen_range(0..n);
+                    }
+                    (q, b)
+                });
+                let op = rng.gen_range(0..12);
+                match (op, pair) {
+                    (0, _) => {
+                        let gamma = rate(&mut rng, 1.0);
+                        fused.amplitude_damp(q, gamma);
+                        reference::amplitude_damp(&mut oracle, q, gamma);
+                    }
+                    (1, _) => {
+                        let p = rate(&mut rng, 0.75);
+                        fused.depolarize_1q(q, p);
+                        reference::depolarize_1q(&mut oracle, q, p);
+                    }
+                    (2, Some((a, b))) => {
+                        let p = rate(&mut rng, 1.0);
+                        fused.depolarize_2q(a, b, p);
+                        reference::depolarize_2q(&mut oracle, a, b, p);
+                    }
+                    (3 | 4, Some((a, b))) => {
+                        // SWAP error runs up to 1 (capped at three CX errors).
+                        let g = if op == 3 {
+                            Gate::Cx(a, b)
+                        } else {
+                            Gate::Swap(a, b)
+                        };
+                        let p = rate(&mut rng, 1.0);
+                        fused.apply_noisy_gate(g, p);
+                        reference::apply_noisy_gate(&mut oracle, g, p);
+                    }
+                    _ => {
+                        let g = match op % 6 {
+                            0 => Gate::Ry(q, angle),
+                            1 => Gate::Rz(q, angle),
+                            2 => Gate::H(q),
+                            3 => Gate::S(q),
+                            4 => Gate::Sdg(q),
+                            _ => Gate::X(q),
+                        };
+                        if rng.gen_bool(0.25) {
+                            fused.apply_gate(g);
+                            reference::apply_gate(&mut oracle, g);
+                        } else {
+                            let p = rate(&mut rng, 0.75);
+                            fused.apply_noisy_gate(g, p);
+                            reference::apply_noisy_gate(&mut oracle, g, p);
+                        }
+                    }
+                }
+                assert!(
+                    bits(&fused) == bits(&oracle),
+                    "case {case} (n = {n}) diverged at step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct qubits")]
+    fn coinciding_cx_qubits_panic() {
+        DensityMatrix::new(2).apply_gate(Gate::Cx(1, 1));
     }
 
     #[test]

@@ -25,6 +25,10 @@ use clapton_pauli::{Pauli, PauliString, PauliSum};
 /// * relaxation: all qubits decay for each moment's duration (ASAP schedule)
 ///   and for the readout duration at the end.
 ///
+/// Each gate slot is one sweep over `ρ`, the gate and its depolarizing
+/// channel fused block by block; energies are bit-identical to the earlier
+/// multi-pass kernels.
+///
 /// # Example
 ///
 /// ```
@@ -56,6 +60,23 @@ impl DeviceEvaluator {
     /// Panics if circuit and model disagree on the register size, or the
     /// register exceeds the density-matrix limit (12 qubits).
     pub fn run(circuit: &Circuit, model: &NoiseModel) -> DeviceEvaluator {
+        DeviceEvaluator::run_with(
+            circuit,
+            model,
+            DensityMatrix::apply_noisy_gate,
+            DensityMatrix::amplitude_damp,
+        )
+    }
+
+    /// The schedule of [`DeviceEvaluator::run`] over the given kernels:
+    /// `slot(ρ, gate, p)` applies a gate and its depolarizing channel,
+    /// `damp(ρ, q, γ)` one qubit's relaxation.
+    pub(crate) fn run_with(
+        circuit: &Circuit,
+        model: &NoiseModel,
+        slot: fn(&mut DensityMatrix, Gate, f64),
+        damp: fn(&mut DensityMatrix, usize, f64),
+    ) -> DeviceEvaluator {
         assert_eq!(
             circuit.num_qubits(),
             model.num_qubits(),
@@ -69,35 +90,39 @@ impl DeviceEvaluator {
             let mut moment_duration = 0.0f64;
             for &gi in &moment {
                 let g = gates[gi];
-                rho.apply_gate(g);
-                match g {
+                let p = match g {
                     Gate::Cx(a, b) => {
-                        rho.depolarize_2q(a, b, model.p2(a, b));
                         moment_duration = moment_duration.max(durations.two);
+                        model.p2(a, b)
                     }
                     Gate::Swap(a, b) => {
-                        rho.depolarize_2q(a, b, model.swap_error(a, b));
                         // A SWAP is three CX pulses long.
                         moment_duration = moment_duration.max(3.0 * durations.two);
+                        model.swap_error(a, b)
                     }
                     g1 => {
-                        let q = g1.qubits()[0];
-                        rho.depolarize_1q(q, model.p1(q));
                         moment_duration = moment_duration.max(durations.single);
+                        model.p1(g1.qubits()[0])
                     }
-                }
+                };
+                slot(&mut rho, g, p);
             }
-            Self::relax_all(&mut rho, model, moment_duration);
+            Self::relax_all(&mut rho, model, moment_duration, damp);
         }
         // Relaxation while the readout pulse runs.
-        Self::relax_all(&mut rho, model, durations.readout);
+        Self::relax_all(&mut rho, model, durations.readout, damp);
         DeviceEvaluator {
             rho,
             model: model.clone(),
         }
     }
 
-    fn relax_all(rho: &mut DensityMatrix, model: &NoiseModel, duration: f64) {
+    fn relax_all(
+        rho: &mut DensityMatrix,
+        model: &NoiseModel,
+        duration: f64,
+        damp: fn(&mut DensityMatrix, usize, f64),
+    ) {
         if duration <= 0.0 {
             return;
         }
@@ -105,7 +130,7 @@ impl DeviceEvaluator {
             let t1 = model.t1(q);
             if t1.is_finite() {
                 let gamma = 1.0 - (-duration / t1).exp();
-                rho.amplitude_damp(q, gamma);
+                damp(rho, q, gamma);
             }
         }
     }

@@ -11,7 +11,9 @@
 //! * [`DensityMatrix`] — a density-matrix simulator supporting depolarizing
 //!   channels, **amplitude damping** (thermal relaxation — the non-Clifford
 //!   channel the Clifford evaluators deliberately exclude) and analytic
-//!   readout-error treatment,
+//!   readout-error treatment; each gate and its noise channel is one
+//!   cache-friendly sweep over `ρ`, bit-identical to the multi-pass kernels
+//!   kept (hidden) in `reference` for differential tests and benches,
 //! * [`DeviceEvaluator`] — runs a circuit under a full [`NoiseModel`]
 //!   (gate depolarizing + T1 decay per scheduled moment + readout) and
 //!   returns Hamiltonian energies: the "device (model) evaluation" of
@@ -28,6 +30,8 @@ mod complex;
 mod density;
 mod eigen;
 mod evaluate;
+#[doc(hidden)]
+pub mod reference;
 mod statevector;
 
 pub use complex::Complex64;
