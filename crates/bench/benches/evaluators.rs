@@ -13,8 +13,8 @@
 use clapton_bench::timing::{counterbalanced_samples, median};
 use clapton_circuits::{HardwareEfficientAnsatz, TransformationAnsatz};
 use clapton_core::{
-    CachedEvaluator, EvaluatorKind, ExecutableAnsatz, LossEvaluator, ParallelEvaluator,
-    PooledEvaluator, TransformLoss, WorkerPool,
+    CachedEvaluator, CafqaLoss, EvaluatorKind, ExecutableAnsatz, LossEvaluator, LossFunction,
+    ParallelEvaluator, PooledEvaluator, TransformLoss, WorkerPool,
 };
 use clapton_models::{ising, molecular, xxz, Molecule};
 use clapton_noise::{ExactEvaluator, FrameSampler, NoiseModel, NoisyCircuit};
@@ -162,6 +162,67 @@ fn emit_transform_ln_fused(_c: &mut Criterion) {
         );
         criterion::append_line(&format!(
             "{{\"group\":\"transform_ln_fused\",\"id\":\"{id}\",\"terms\":{},\"staged_ns\":{staged},\"fused_ns\":{fused},\"speedup_x\":{speedup:.2}}}",
+            h.num_terms()
+        ));
+    }
+}
+
+/// The per-genome cost of the CAFQA objective, head to head: the staged
+/// path (`exec.circuit(θ)`, then `noiseless_for_circuit`, which maps `H`
+/// onto the register, builds the noisy circuit and re-packs `H` for the
+/// walk) against the fused one `CafqaLoss` runs (the circuit's Clifford
+/// gates conjugate `H`'s planes, packed once), on ising10, H2O, H6 and LiH.
+/// One timed sample scores a 32-genome population; the rows are per genome.
+fn emit_cafqa_fused(_c: &mut Criterion) {
+    let n = 10;
+    let model = NoiseModel::uniform(n, 3e-4, 8e-3, 2e-2);
+    let exec = ExecutableAnsatz::untranspiled(n, &model);
+    let ansatz = exec.ansatz();
+    let mut rng = StdRng::seed_from_u64(19);
+    let population: Vec<Vec<u8>> = (0..32)
+        .map(|_| {
+            (0..ansatz.num_parameters())
+                .map(|_| rng.gen_range(0..4u8))
+                .collect()
+        })
+        .collect();
+    let per_genome = |samples: Vec<u128>| median(samples) / population.len() as u128;
+    for (id, h) in [
+        ("ising10", ising(n, 0.25)),
+        (
+            "H2O",
+            molecular(Molecule::H2O, Molecule::H2O.bond_lengths()[0]),
+        ),
+        (
+            "H6",
+            molecular(Molecule::H6, Molecule::H6.bond_lengths()[0]),
+        ),
+        (
+            "LiH",
+            molecular(Molecule::LiH, Molecule::LiH.bond_lengths()[0]),
+        ),
+    ] {
+        let loss = CafqaLoss::cafqa(&h, &exec);
+        let staged = LossFunction::new(&exec, EvaluatorKind::Exact);
+        let mut run_staged = || {
+            for indices in &population {
+                let circuit = exec.circuit(&ansatz.angles_from_indices(black_box(indices)));
+                black_box(staged.noiseless_for_circuit(&circuit, &h));
+            }
+        };
+        let mut run_fused = || {
+            black_box(loss.evaluate_population(black_box(&population)));
+        };
+        let (staged_samples, fused_samples) =
+            counterbalanced_samples(12, &mut run_staged, &mut run_fused);
+        let (staged, fused) = (per_genome(staged_samples), per_genome(fused_samples));
+        let speedup = staged as f64 / fused.max(1) as f64;
+        println!(
+            "cafqa_fused/{id}: {speedup:.1}x (staged {staged} ns / fused {fused} ns per genome, {} terms)",
+            h.num_terms()
+        );
+        criterion::append_line(&format!(
+            "{{\"group\":\"cafqa_fused\",\"id\":\"{id}\",\"terms\":{},\"staged_ns\":{staged},\"fused_ns\":{fused},\"speedup_x\":{speedup:.2}}}",
             h.num_terms()
         ));
     }
@@ -670,7 +731,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
     targets = bench_exact_energy, bench_exact_batched, emit_exact_speedup,
-        emit_transform_ln_fused, bench_sampled_energy, bench_sampled_energy_scalar,
+        emit_transform_ln_fused, emit_cafqa_fused, bench_sampled_energy, bench_sampled_energy_scalar,
         emit_sampled_speedup, bench_dense_hamiltonian, bench_population_batch,
         emit_telemetry_overhead, emit_failpoint_overhead, emit_loss_cache
 }

@@ -13,7 +13,7 @@ use crate::{
     transform_hamiltonian, transform_hamiltonian_into, EvaluatorKind, ExecutableAnsatz,
     LossFunction,
 };
-use clapton_circuits::TransformationAnsatz;
+use clapton_circuits::{Circuit, TransformationAnsatz};
 use clapton_eval::LossEvaluator;
 use clapton_noise::PackedHamiltonian;
 use clapton_pauli::PauliSum;
@@ -184,13 +184,30 @@ impl LossEvaluator for TransformLoss<'_> {
 
 /// The CAFQA / nCAFQA search objective over quarter-turn indices of θ.
 ///
-/// CAFQA minimizes the noiseless Clifford energy; noise-aware CAFQA adds the
-/// `LN` term computed by the configured backend (§5.2).
+/// CAFQA minimizes the noiseless Clifford energy `⟨0|A†(θ) H A(θ)|0⟩`;
+/// noise-aware CAFQA adds the `LN` term computed by the configured backend
+/// (§5.2).
+///
+/// `H` is mapped onto the executable register and packed into 64-lane
+/// planes once, when the objective is built. Each genome then pays only for
+/// its own circuit: `A'(θ)` is built once and lowered to its Clifford
+/// gates, which conjugate the packed words, last gate first; the noiseless
+/// energy is read off the planes ([`PackedHamiltonian::noiseless_energy`]),
+/// with no noisy circuit and no depolarizing slot in the walk. nCAFQA's
+/// `LN` scores the same circuit against the mapped `H` through the
+/// backend. Losses are bit-identical to the staged
+/// `LossFunction::noiseless_for_circuit` /
+/// `LossFunction::loss_n_for_circuit` on `exec.circuit(θ)`, routed
+/// executables included.
 #[derive(Debug, Clone)]
 pub struct CafqaLoss<'a> {
-    h: &'a PauliSum,
     exec: &'a ExecutableAnsatz,
     loss: LossFunction<'a>,
+    /// `H` on the executable's compact register (measurement mapping
+    /// applied).
+    mapped: PauliSum,
+    /// `mapped` packed into 64-lane planes.
+    packed: PackedHamiltonian,
     noise_aware: bool,
 }
 
@@ -200,7 +217,7 @@ impl<'a> CafqaLoss<'a> {
     /// # Panics
     ///
     /// Panics on a register mismatch between `h` and `exec`.
-    pub fn cafqa(h: &'a PauliSum, exec: &'a ExecutableAnsatz) -> CafqaLoss<'a> {
+    pub fn cafqa(h: &PauliSum, exec: &'a ExecutableAnsatz) -> CafqaLoss<'a> {
         CafqaLoss::build(h, exec, EvaluatorKind::Exact, false)
     }
 
@@ -210,7 +227,7 @@ impl<'a> CafqaLoss<'a> {
     ///
     /// Panics on a register mismatch between `h` and `exec`.
     pub fn ncafqa(
-        h: &'a PauliSum,
+        h: &PauliSum,
         exec: &'a ExecutableAnsatz,
         evaluator: EvaluatorKind,
     ) -> CafqaLoss<'a> {
@@ -218,16 +235,18 @@ impl<'a> CafqaLoss<'a> {
     }
 
     fn build(
-        h: &'a PauliSum,
+        h: &PauliSum,
         exec: &'a ExecutableAnsatz,
         evaluator: EvaluatorKind,
         noise_aware: bool,
     ) -> CafqaLoss<'a> {
         assert_eq!(h.num_qubits(), exec.num_logical(), "register mismatch");
+        let mapped = exec.map_hamiltonian(h);
         CafqaLoss {
-            h,
             exec,
             loss: LossFunction::new(exec, evaluator),
+            packed: PackedHamiltonian::new(&mapped),
+            mapped,
             noise_aware,
         }
     }
@@ -239,19 +258,31 @@ impl<'a> CafqaLoss<'a> {
 
     /// The noiseless energy of the ansatz at quarter-turn indices.
     pub fn noiseless_energy(&self, indices: &[u8]) -> f64 {
-        let theta = self.exec.ansatz().angles_from_indices(indices);
-        let circuit = self.exec.circuit(&theta);
-        self.loss.noiseless_for_circuit(&circuit, self.h)
+        self.noiseless_for(&self.circuit(indices))
+    }
+
+    /// `A'(θ)` at quarter-turn indices.
+    fn circuit(&self, indices: &[u8]) -> Circuit {
+        self.exec
+            .circuit(&self.exec.ansatz().angles_from_indices(indices))
+    }
+
+    /// The noiseless energy of `A'(θ)`, read off `H`'s packed planes.
+    fn noiseless_for(&self, circuit: &Circuit) -> f64 {
+        let gates = circuit
+            .to_clifford()
+            .expect("quarter-turn circuits are Clifford");
+        self.packed.noiseless_energy(&gates)
     }
 }
 
 impl LossEvaluator for CafqaLoss<'_> {
     fn evaluate(&self, indices: &[u8]) -> f64 {
-        let theta = self.exec.ansatz().angles_from_indices(indices);
-        let circuit = self.exec.circuit(&theta);
-        let noiseless = self.loss.noiseless_for_circuit(&circuit, self.h);
+        let circuit = self.circuit(indices);
+        let noiseless = self.noiseless_for(&circuit);
         if self.noise_aware {
-            self.loss.loss_n_for_circuit(&circuit, self.h) + noiseless
+            let model = self.exec.noise_model();
+            self.loss.backend().energy(&circuit, model, &self.mapped) + noiseless
         } else {
             noiseless
         }

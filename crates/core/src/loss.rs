@@ -417,7 +417,10 @@ impl<'a> LossFunction<'a> {
     }
 
     /// Noiseless energy of an arbitrary Clifford circuit `A'(θ)` w.r.t. the
-    /// (mapped) Hamiltonian — CAFQA's objective and nCAFQA's `L0` analogue.
+    /// (mapped) Hamiltonian — CAFQA's objective and nCAFQA's `L0` analogue,
+    /// staged: it maps and re-packs `H` and builds the noisy circuit per
+    /// call. `CafqaLoss` scores the same value from `H` packed once, and is
+    /// checked against this bit for bit.
     pub fn noiseless_for_circuit(&self, circuit: &Circuit, h_logical: &PauliSum) -> f64 {
         let mapped = self.exec.map_hamiltonian(h_logical);
         self.backend

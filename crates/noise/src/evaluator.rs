@@ -98,6 +98,70 @@ impl PackedHamiltonian {
     pub fn num_terms(&self) -> usize {
         self.coefficients.len()
     }
+
+    /// The noiseless energy `⟨0|C† H C|0⟩` of the Clifford circuit `C`
+    /// (`gates`, in application order): CAFQA's objective, scored straight
+    /// from the packed planes. No noisy circuit is built and no
+    /// depolarizing slot is visited.
+    ///
+    /// Per 64-term word the planes are conjugated by the inverted gates,
+    /// last gate first; then identity and Z-type lanes contribute `±c_i` by
+    /// their sign bit and lanes with an x bit contribute `0`, added in term
+    /// order. The result is bit-identical to
+    /// [`ExactEvaluator::noiseless_energy`] of the source Hamiltonian on a
+    /// [`NoisyCircuit`] of the same gates, including the sign of an
+    /// all-zero sum (the batched pass sums from `+0.0` at
+    /// `M ≥ BATCH_MIN_TERMS`, the scalar one from `Iterator::sum`'s zero),
+    /// and the kernel counters advance as they do there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate acts outside the register.
+    pub fn noiseless_energy(&self, gates: &[CliffordGate]) -> f64 {
+        let batched = self.num_terms() >= ExactEvaluator::BATCH_MIN_TERMS;
+        let mut total = if batched {
+            count_walks(self.num_terms());
+            0.0
+        } else {
+            std::iter::empty::<f64>().sum()
+        };
+        for (word, chunk) in self.words() {
+            let batch = conjugated(word, gates);
+            let traceless = batch.any_x_mask();
+            let negative = batch.sign_mask();
+            for (lane, &c) in chunk.iter().enumerate() {
+                let bit = 1u64 << lane;
+                let value = if traceless & bit != 0 {
+                    0.0
+                } else if negative & bit != 0 {
+                    -1.0
+                } else {
+                    1.0
+                };
+                total += c * value;
+            }
+        }
+        total
+    }
+
+    /// The packed words beside their (up to 64) coefficients.
+    fn words(&self) -> impl Iterator<Item = (&TermBatch, &[f64])> {
+        self.words
+            .iter()
+            .zip(self.coefficients.chunks(TermBatch::LANES))
+    }
+}
+
+/// A copy of `word` with every lane conjugated by the circuit `gates`
+/// (application order) inverted, last gate first: lane `ℓ` ends up holding
+/// `±C† P_ℓ C`, the image a tableau transform — or the noiseless reverse
+/// walk — produces, with its sign in the sign plane.
+fn conjugated(word: &TermBatch, gates: &[CliffordGate]) -> TermBatch {
+    let mut batch = word.clone();
+    for g in gates.iter().rev() {
+        g.inverse().conjugate_terms(&mut batch);
+    }
+    batch
 }
 
 /// Exact noisy expectation values via Heisenberg back-propagation.
@@ -314,11 +378,8 @@ impl<'a> ExactEvaluator<'a> {
         };
         let mut l0 = sum_zero;
         let mut coefficients = [0.0f64; TermBatch::LANES];
-        for (word, chunk) in h.words.iter().zip(h.coefficients.chunks(TermBatch::LANES)) {
-            let mut batch = word.clone();
-            for g in gates.iter().rev() {
-                g.inverse().conjugate_terms(&mut batch);
-            }
+        for (word, chunk) in h.words() {
+            let mut batch = conjugated(word, gates);
             let negative = batch.sign_mask();
             let traceless = batch.any_x_mask();
             for (lane, &c) in chunk.iter().enumerate() {
