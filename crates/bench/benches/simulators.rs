@@ -3,8 +3,9 @@
 
 use clapton_bench::timing::{counterbalanced_samples, median};
 use clapton_circuits::HardwareEfficientAnsatz;
-use clapton_models::ising;
+use clapton_models::{ising, molecular, xxz, Molecule};
 use clapton_noise::NoiseModel;
+use clapton_pauli::PauliSum;
 use clapton_sim::{ground_energy, reference, DeviceEvaluator, StateVector};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -81,6 +82,47 @@ fn emit_device_fused(_c: &mut Criterion) {
     }
 }
 
+/// The fixed-step per-term reference Lanczos solver against the converged
+/// solver on the X-mask-grouped operator per `ground_energy` call on the
+/// suite's 10-qubit Hamiltonians, counterbalanced. `E0` may move in its last
+/// bits, never by more than 1e-10. Appends one speedup row per Hamiltonian.
+fn emit_ground_fused(_c: &mut Criterion) {
+    let molecule = |m: Molecule| molecular(m, m.bond_lengths()[0]);
+    let cases: [(&str, PauliSum); 5] = [
+        ("ising10", ising(10, 0.5)),
+        ("xxz10", xxz(10, 0.5)),
+        ("H2O", molecule(Molecule::H2O)),
+        ("H6", molecule(Molecule::H6)),
+        ("LiH", molecule(Molecule::LiH)),
+    ];
+    for (id, h) in &cases {
+        let (e0_reference, e0) = (reference::ground_energy(h), ground_energy(h));
+        assert!(
+            (e0_reference - e0).abs() <= 1e-10,
+            "{id}: reference {e0_reference} vs converged {e0}"
+        );
+        let mut run_reference = || {
+            black_box(reference::ground_energy(black_box(h)));
+        };
+        let mut run_fused = || {
+            black_box(ground_energy(black_box(h)));
+        };
+        let (reference_samples, fused_samples) =
+            counterbalanced_samples(2, &mut run_reference, &mut run_fused);
+        let (reference_ns, fused_ns) = (median(reference_samples), median(fused_samples));
+        let speedup = reference_ns as f64 / fused_ns.max(1) as f64;
+        println!(
+            "ground_fused/{id}: {speedup:.2}x (reference {:.1} ms / fused {:.1} ms per call)",
+            reference_ns as f64 / 1e6,
+            fused_ns as f64 / 1e6
+        );
+        criterion::append_line(&format!(
+            "{{\"group\":\"ground_fused\",\"id\":\"{id}\",\"terms\":{},\"reference_ns\":{reference_ns},\"fused_ns\":{fused_ns},\"speedup_x\":{speedup:.2}}}",
+            h.num_terms()
+        ));
+    }
+}
+
 fn bench_ground_energy(c: &mut Criterion) {
     let mut group = c.benchmark_group("lanczos_ground_energy");
     group.sample_size(10);
@@ -96,6 +138,6 @@ fn bench_ground_energy(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_statevector, bench_device_evaluation, emit_device_fused, bench_ground_energy
+    targets = bench_statevector, bench_device_evaluation, emit_device_fused, emit_ground_fused, bench_ground_energy
 }
 criterion_main!(benches);

@@ -16,6 +16,11 @@
 //! * Idle pool workers *steal* from the registered scope queues round-robin,
 //!   oldest scope first — so concurrently running jobs have their batches
 //!   interleaved fairly instead of one job monopolizing the pool.
+//! * [`WorkerPool::bounded`] runs memory-heavy single-threaded work (a dense
+//!   density matrix, the ground-energy solver's diagonals) on the calling
+//!   thread, at most `workers()` callers at a time, so jobs that reach such
+//!   a phase together queue for it instead of each holding its buffer while
+//!   they share the cores.
 
 use clapton_telemetry::metrics::{registry, Counter, Gauge};
 use std::collections::VecDeque;
@@ -161,6 +166,9 @@ impl PoolShared {
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
+    /// Callers currently inside [`WorkerPool::bounded`].
+    bounded: Mutex<usize>,
+    bounded_free: Condvar,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -201,6 +209,8 @@ impl WorkerPool {
         WorkerPool {
             shared,
             workers: handles,
+            bounded: Mutex::new(0),
+            bounded_free: Condvar::new(),
         }
     }
 
@@ -208,6 +218,32 @@ impl WorkerPool {
     /// effective parallelism of a blocking caller is `workers() + 1`).
     pub fn workers(&self) -> usize {
         self.workers.len()
+    }
+
+    /// Runs `f` on the calling thread once fewer than `workers()` (at least
+    /// one) callers are inside `bounded` on this pool, and returns its
+    /// result.
+    ///
+    /// For single-threaded work that holds a large buffer: running more
+    /// copies at once than there are cores buys no throughput, only memory.
+    /// `f` must not itself wait on another `bounded` call.
+    pub fn bounded<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Slot<'a>(&'a WorkerPool);
+        impl Drop for Slot<'_> {
+            fn drop(&mut self) {
+                *self.0.bounded.lock().expect("bounded slots") -= 1;
+                self.0.bounded_free.notify_one();
+            }
+        }
+        let limit = self.workers().max(1);
+        let mut busy = self.bounded.lock().expect("bounded slots");
+        while *busy >= limit {
+            busy = self.bounded_free.wait(busy).expect("bounded slots");
+        }
+        *busy += 1;
+        drop(busy);
+        let _slot = Slot(self);
+        f()
     }
 
     /// Runs `f` with a [`PoolScope`] that can spawn borrowing tasks, then
@@ -511,5 +547,56 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(total.load(Ordering::Relaxed), 4 * 10 * 5);
+    }
+
+    #[test]
+    fn bounded_admits_at_most_one_caller_per_worker() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        use std::time::Duration;
+        for workers in [0usize, 2] {
+            let pool = WorkerPool::with_workers(workers);
+            let limit = workers.max(1);
+            let (entered_tx, entered_rx) = channel();
+            std::thread::scope(|s| {
+                // Fill every slot with a caller that stays inside until
+                // released.
+                let releases: Vec<_> = (0..limit)
+                    .map(|_| {
+                        let (release_tx, release_rx) = channel::<()>();
+                        let (pool, entered_tx) = (&pool, entered_tx.clone());
+                        s.spawn(move || {
+                            pool.bounded(|| {
+                                entered_tx.send("holder").unwrap();
+                                release_rx.recv().unwrap();
+                            })
+                        });
+                        release_tx
+                    })
+                    .collect();
+                for _ in 0..limit {
+                    assert_eq!(entered_rx.recv().unwrap(), "holder");
+                }
+                let (pool, entered_tx) = (&pool, entered_tx.clone());
+                s.spawn(move || pool.bounded(|| entered_tx.send("late").unwrap()));
+                assert_eq!(
+                    entered_rx.recv_timeout(Duration::from_millis(100)),
+                    Err(RecvTimeoutError::Timeout),
+                    "{workers} workers: a caller got in past {limit} held slots"
+                );
+                releases[0].send(()).unwrap();
+                assert_eq!(entered_rx.recv().unwrap(), "late");
+                for release in &releases[1..] {
+                    release.send(()).unwrap();
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn bounded_frees_its_slot_when_the_work_panics() {
+        let pool = WorkerPool::with_workers(1);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| pool.bounded(|| panic!("boom"))));
+        assert!(result.is_err());
+        assert_eq!(pool.bounded(|| 7), 7, "the slot was released");
     }
 }

@@ -92,6 +92,20 @@ fn fair_share_interleaves_two_tenants_bursts() {
         .expect("submit plug");
     assert_eq!(plug.status, 202);
     let plug_id = plug.job().unwrap().id;
+    // The expected order below assumes the plug's dispatch has already
+    // advanced alice's virtual time, so wait for that dispatch first.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let plug_dispatched = || {
+        let job = alice.status(&plug_id).unwrap().job().unwrap();
+        job.dispatch_seq.is_some()
+    };
+    while !plug_dispatched() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "plug job never dispatched"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 
     // alice dumps her burst first, bob second — FIFO would run all of
     // alice's jobs before bob's.

@@ -111,6 +111,10 @@ fn metrics_scrape_covers_every_layer_and_trace_matches_the_artifact() {
     assert_eq!(trace.spans.len(), 1, "one root job span");
     let job_root = &trace.spans[0];
     assert_eq!(job_root.name, "job");
+    assert!(
+        job_root.children.iter().any(|c| c.name == "ground_energy"),
+        "ground_energy span under the job root"
+    );
     let clapton = job_root
         .children
         .iter()

@@ -850,7 +850,12 @@ fn execute_inner(
     let h = &job.hamiltonian;
     let exec = &job.exec;
     let config = &job.config;
-    let e0 = ground_energy(h);
+    // The solver stores one 2ⁿ-entry diagonal per distinct X-mask of `h`, so
+    // concurrent jobs take turns on it like on the device evaluation below.
+    let e0 = ctx.pool().bounded(|| {
+        let _span = clapton_telemetry::span("ground_energy");
+        ground_energy(h)
+    });
     let cafqa = job.runs(&MethodSpec::Cafqa).then(|| {
         let _span = clapton_telemetry::span("cafqa");
         run_cafqa(h, exec, &config.engine, config.seed)
@@ -965,9 +970,14 @@ fn execute_inner(
     } else {
         None
     };
+    // Each evaluation holds a 4ⁿ-entry density matrix; jobs that reach this
+    // point together take turns on the pool's cores instead of all holding
+    // one at once.
     let device_energy = |h: &PauliSum, theta: &[f64]| {
-        DeviceEvaluator::run(&exec.circuit(theta), exec.noise_model())
-            .energy(&exec.map_hamiltonian(h))
+        ctx.pool().bounded(|| {
+            DeviceEvaluator::run(&exec.circuit(theta), exec.noise_model())
+                .energy(&exec.map_hamiltonian(h))
+        })
     };
     let zeros = vec![0.0; exec.ansatz().num_parameters()];
     let cafqa_initial_energy = cafqa.as_ref().map(|c| device_energy(h, &c.theta));

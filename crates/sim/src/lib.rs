@@ -19,7 +19,9 @@
 //!   returns Hamiltonian energies: the "device (model) evaluation" of
 //!   Figures 2 and 5,
 //! * [`ground_energy`] — Lanczos exact minimum eigenvalue (the paper's `E0`
-//!   obtained "by diagonalizing the Hamiltonian", §5.2.1).
+//!   obtained "by diagonalizing the Hamiltonian", §5.2.1) on an
+//!   X-mask-grouped operator, stopped once the Ritz residual has converged;
+//!   the fixed-step solver it replaced is kept (hidden) in `reference`.
 //!
 //! Qubit convention: qubit `k` is bit `k` of the basis-state index
 //! (little-endian), matching the first bit word of

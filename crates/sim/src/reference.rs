@@ -1,16 +1,26 @@
-//! The multi-pass dense kernels that the one-pass sweeps of
-//! [`DensityMatrix`] replaced, kept as the bit-identity oracle.
+//! The kernels that faster production paths replaced, kept as their
+//! oracles. Only differential tests and head-to-head benches call this
+//! module.
 //!
-//! Every function here reproduces the earlier arithmetic exactly: a
-//! one-qubit gate is a row pass then a column pass, its depolarizing channel
-//! a third pass, CX/SWAP a permutation pass followed by a separate
-//! two-qubit channel pass. Only differential tests and head-to-head benches
-//! call this module; production code runs the one-pass sweeps of
-//! [`DensityMatrix`] through [`DeviceEvaluator::run`].
+//! * The multi-pass dense kernels that the one-pass sweeps of
+//!   [`DensityMatrix`] replaced. Every function reproduces the earlier
+//!   arithmetic exactly: a one-qubit gate is a row pass then a column pass,
+//!   its depolarizing channel a third pass, CX/SWAP a permutation pass
+//!   followed by a separate two-qubit channel pass. Production code runs the
+//!   one-pass sweeps through [`DeviceEvaluator::run`].
+//! * The fixed-step Lanczos solver ([`ground_energy`],
+//!   [`dominant_eigenvalue`]): `min(2ⁿ, 140)` steps per seed, each matvec a
+//!   pass per Pauli term. Production code runs the converged solver on the
+//!   X-mask-grouped operator ([`crate::ground_energy`]).
 
+use crate::eigen::{dot, norm, normalize, tridiagonal_min_eigenvalue};
+use crate::statevector::apply_pauli_sum_to;
 use crate::{Complex64, DensityMatrix, DeviceEvaluator};
 use clapton_circuits::{Circuit, Gate};
 use clapton_noise::NoiseModel;
+use clapton_pauli::PauliSum;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// [`DeviceEvaluator::run`] on the multi-pass kernels.
 pub fn run(circuit: &Circuit, model: &NoiseModel) -> DeviceEvaluator {
@@ -194,4 +204,89 @@ pub fn amplitude_damp(rho: &mut DensityMatrix, q: usize, gamma: f64) {
             rho.set(r1, c, rho.at(r1, c).scale(s));
         }
     }
+}
+
+/// [`crate::ground_energy`] as the fixed-step solver: `min(2ⁿ, 140)`
+/// Lanczos steps per seed on the per-term matvec, no convergence test.
+pub fn ground_energy(h: &PauliSum) -> f64 {
+    extremal_eigenvalue(h, false)
+}
+
+/// [`crate::dominant_eigenvalue`] as the fixed-step solver.
+pub fn dominant_eigenvalue(h: &PauliSum) -> f64 {
+    extremal_eigenvalue(h, true)
+}
+
+fn extremal_eigenvalue(h: &PauliSum, largest: bool) -> f64 {
+    let n = h.num_qubits();
+    assert!(n > 0, "need at least one qubit");
+    assert!(
+        n <= 24,
+        "Hamiltonian on {n} qubits too large for dense vectors"
+    );
+    let mut best = f64::INFINITY;
+    for seed in [0xC1AF_0001u64, 0xC1AF_0002u64] {
+        let v = lanczos_min(h, seed, largest);
+        best = best.min(v);
+    }
+    if largest {
+        -best
+    } else {
+        best
+    }
+}
+
+/// Lanczos iteration returning the smallest eigenvalue of `H` (or of `-H`
+/// when `negate` is set).
+fn lanczos_min(h: &PauliSum, seed: u64, negate: bool) -> f64 {
+    let dim = 1usize << h.num_qubits();
+    let m = dim.min(140);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut basis: Vec<Vec<Complex64>> = Vec::with_capacity(m);
+    let mut v: Vec<Complex64> = (0..dim)
+        .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+        .collect();
+    normalize(&mut v);
+    let mut alphas: Vec<f64> = Vec::with_capacity(m);
+    let mut betas: Vec<f64> = Vec::with_capacity(m);
+    let mut w = vec![Complex64::ZERO; dim];
+    for j in 0..m {
+        basis.push(v.clone());
+        w.fill(Complex64::ZERO);
+        apply_pauli_sum_to(h, &v, &mut w);
+        if negate {
+            for x in &mut w {
+                *x = -*x;
+            }
+        }
+        if j > 0 {
+            let beta = betas[j - 1];
+            for (wi, bi) in w.iter_mut().zip(&basis[j - 1]) {
+                *wi -= bi.scale(beta);
+            }
+        }
+        let alpha = dot(&basis[j], &w).re;
+        alphas.push(alpha);
+        for (wi, bi) in w.iter_mut().zip(&basis[j]) {
+            *wi -= bi.scale(alpha);
+        }
+        // Full reorthogonalization for numerical robustness.
+        for b in &basis {
+            let overlap = dot(b, &w);
+            for (wi, bi) in w.iter_mut().zip(b) {
+                *wi -= *bi * overlap;
+            }
+        }
+        let beta = norm(&w);
+        if beta < 1e-12 || j + 1 == m {
+            break;
+        }
+        betas.push(beta);
+        v.clone_from(&w);
+        let inv = 1.0 / beta;
+        for x in &mut v {
+            *x = x.scale(inv);
+        }
+    }
+    tridiagonal_min_eigenvalue(&alphas, &betas)
 }

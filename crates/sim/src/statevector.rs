@@ -170,8 +170,8 @@ impl StateVector {
         h.iter().map(|(c, p)| c * self.expectation(p)).sum()
     }
 
-    /// Applies `H` to the state: `|ψ⟩ ← H|ψ⟩` (not unitary; used by the
-    /// Lanczos eigensolver).
+    /// Writes `H|ψ⟩` into `out`, one pass per Pauli term (`H` is not
+    /// unitary, so the result is not a state).
     pub fn apply_pauli_sum(&self, h: &PauliSum, out: &mut [Complex64]) {
         assert_eq!(out.len(), self.amps.len(), "output buffer size");
         out.fill(Complex64::ZERO);
@@ -217,7 +217,9 @@ pub(crate) fn i_power(k: u32) -> Complex64 {
     }
 }
 
-/// `out += H · v` for a Pauli-sum operator.
+/// `out += H · v` for a Pauli-sum operator, one pass per term (the
+/// reference Lanczos solver's matvec; the production solver groups terms by
+/// X-mask first).
 pub(crate) fn apply_pauli_sum_to(h: &PauliSum, v: &[Complex64], out: &mut [Complex64]) {
     for (c, p) in h.iter() {
         let (x_mask, z_mask, y_count) = masks(p);
